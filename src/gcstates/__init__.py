@@ -21,7 +21,6 @@ from .measure import radius, verify_moments, weight, weight_tilde
 from .models import (
     MODEL_IDS,
     ModelSpec,
-    SpectralSequence,
     energy,
     harmonic_limit,
     make_model,
@@ -41,7 +40,6 @@ __all__ = [
     "MODEL_IDS",
     "ModelSpec",
     "QuadratureError",
-    "SpectralSequence",
     "TruncatedOperators",
     "annihilation_residual",
     "build",

@@ -11,13 +11,16 @@ oracle     finite-difference spectrum comparison
 verify     run every verification family and emit a JSON report
 
 Exit codes: 0 success, 1 a verification-style check failed, 2 bad usage or
-parameters.  All floating-point text output carries 15 significant digits
-and rows are emitted in a deterministic order, so byte-identical reruns are
-the norm.
+parameters, 3 a numerical routine failed (a series did not converge, a
+quadrature could not certify its error, or two routes to one quantity
+disagreed), reported as one ``error:`` line on stderr.  ``verify`` instead
+records such failures as fail rows.  All floating-point text output carries
+15 significant digits and rows are emitted in a deterministic order, so
+byte-identical reruns are the norm.
 
 A JSON config file (--config) may hold any long-option value under its
 underscored name ({"model": "exp-mass", "mu": 2.0, ...}); explicit flags win
-over the file.
+over the file, and a key that no subcommand option reads is an error.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,9 +37,12 @@ from . import coherent as coherent_mod
 from . import fockrep, measure, models, oracle, stats
 from .exceptions import ConsistencyError, ConvergenceError, QuadratureError
 
+# a numerical routine that fails outside verify exits with code 3
+_NUMERICAL_ERRORS = (ConsistencyError, ConvergenceError, QuadratureError)
+
 # an internal invariant tripping during verification is a *finding*, not a
 # crash: these become fail rows in the report
-_CHECK_ERRORS = (ConsistencyError, ConvergenceError, QuadratureError, ValueError)
+_CHECK_ERRORS = (*_NUMERICAL_ERRORS, ValueError)
 
 __all__ = ["main", "VERIFY_REPORT_SCHEMA"]
 
@@ -56,12 +61,6 @@ VERIFY_REPORT_SCHEMA = {
             "details": {"type": "array", "items": {"type": "object"}},
         },
     },
-}
-
-_CONFIG_KEYS = {
-    "model", "alpha", "nonlinearity", "lambda_tilde", "mu", "z", "z_re",
-    "z_im", "eps", "nmax", "levels", "points", "pad", "zsq",
-    "lambda_primes", "z_sweep", "out", "format", "only", "threshold",
 }
 
 _DEFAULT_NONLINEARITY = 0.1
@@ -125,10 +124,6 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, default=lambda o: o.item()) + "\n"
 
 
-def _nonlinearity_field(spec) -> float | None:
-    return spec.nonlinearity
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -167,19 +162,13 @@ def cmd_coherent(args) -> int:
 
 
 def _stats_rows(spec, zs, eps):
-    def one(z):
-        state = coherent_mod.construct(spec, z, eps=eps)
-        return stats.summary_series(state)
-
-    if len(zs) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(zs))) as pool:
-            summaries = list(pool.map(one, zs))
-    else:
-        summaries = [one(zs[0])]
+    summaries = [
+        stats.summary_series(coherent_mod.construct(spec, z, eps=eps)) for z in zs
+    ]
     return [
         (
             spec.id,
-            _nonlinearity_field(spec),
+            spec.nonlinearity,
             s.z_abs,
             s.mean,
             s.variance,
@@ -353,7 +342,7 @@ def _check_algebra(specs) -> dict:
         try:
             ops = fockrep.build(spec, 40)
             comm = fockrep.commutator_diagonal(ops)
-            expect = np.diff(models.steps(spec, 39))
+            expect = np.diff(models.step(spec, np.arange(40)))
             gap = float(np.max(np.abs(comm - expect) / np.maximum(expect, 1.0)))
             details.append(
                 {"model": spec.id, "item": "commutator diagonal", "value": gap,
@@ -599,12 +588,17 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
 
     # subparsers re-apply their own action defaults over the root namespace,
     # so config values must be installed per subcommand
+    cfg = cfg or {}
+    known = set()
     for sub in built:
-        if cfg:
-            dests = {a.dest for a in sub._actions}
-            rel = {k: v for k, v in cfg.items() if k in dests}
-            if rel:
-                sub.set_defaults(**rel)
+        dests = {a.dest for a in sub._actions} - {"help", "config"}
+        known |= dests
+        rel = {k: v for k, v in cfg.items() if k in dests}
+        if rel:
+            sub.set_defaults(**rel)
+    unknown = set(cfg) - known
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return parser
 
 
@@ -613,9 +607,6 @@ def _load_config(path: str) -> dict:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return cfg
 
 
@@ -634,6 +625,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _NUMERICAL_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

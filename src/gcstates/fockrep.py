@@ -46,7 +46,7 @@ def build(spec: ModelSpec, dim: int) -> TruncatedOperators:
     if dim != int(dim) or dim < 2:
         raise ValueError(f"dim must be an integer >= 2, got {dim}")
     dim = int(dim)
-    e = models.steps(spec, dim - 1)
+    e = models.step(spec, np.arange(dim))
     lowering = np.diag(np.sqrt(e[1:]), k=1)
     raising = lowering.T.copy()
     hamiltonian = np.diag([models.energy(spec, n) for n in range(dim)])

@@ -7,17 +7,18 @@ factorial as its moment sequence:
 
     int_0^inf  w~(xi) xi^n dxi  =  rho_n            (label units)
 
-For the singular-mass oscillators the weight is a modified Bessel kernel,
-obtained from the Mellin pair Gamma(s) Gamma(s + nu) with nu = 1 + 1/q:
+The model's ladder family supplies the weight.  For the quadratic ladder
+of the singular-mass oscillators it is a modified Bessel kernel, obtained
+from the Mellin pair Gamma(s) Gamma(s + nu) with nu = 1 + 1/q:
 
     w~(xi) = 2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(2 + 1/q)),
 
-and for exp-mass it collapses to the Gamma-distribution kernel
-w~(xi) = exp(-xi/mu^2)/mu^2 (constant-mass limit: exp(-xi)).
+and for the linear ladder it collapses to the Gamma-distribution kernel
+w~(xi) = exp(-xi/mu^2)/mu^2 (exp-mass; constant-mass limit: exp(-xi)).
 
 ``verify_moments`` integrates the weight against xi^n with the half-line
 quadrature and compares against exp(rho_log_label(n)) computed from the
-spectral sequence.  The two routes share no code, which is the point.
+ladder steps.  The two routes share no formula, which is the point.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 from . import models
 from .models import ModelSpec
-from .specfn import bessel_k, hyp0f1, integrate_halfline, log_gamma
+from .specfn import integrate_halfline
 
 __all__ = [
     "MomentReport",
@@ -45,19 +46,7 @@ def weight_tilde_log(spec: ModelSpec, xi: float) -> float:
     """ln of the reduced resolution-of-unity weight at xi = |z|^2 > 0."""
     if not xi > 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    if spec.id in ("exp-mass", "harmonic"):
-        scale_sq = spec.label_scale**2
-        return -math.log(scale_sq) - xi / scale_sq
-    q = spec.nonlinearity
-    nu = 1.0 + 1.0 / q
-    u = xi / q
-    return (
-        math.log(2.0)
-        + 0.5 * nu * math.log(u)
-        + bessel_k(nu, 2.0 * math.sqrt(u))
-        - math.log(q)
-        - log_gamma(2.0 + 1.0 / q)
-    )
+    return spec.ladder.weight_log(xi)
 
 
 def weight_tilde(spec: ModelSpec, xi: float) -> float:
@@ -73,11 +62,7 @@ def weight(spec: ModelSpec, xi: float) -> float:
     """
     if not xi > 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    if spec.id in ("exp-mass", "harmonic"):
-        # the exponential factors cancel exactly: w = 1/mu^2, flat
-        return 1.0 / spec.label_scale**2
-    q = spec.nonlinearity
-    return math.exp(weight_tilde_log(spec, xi) + hyp0f1(spec.hyp_b, xi / q).value)
+    return spec.ladder.weight(xi)
 
 
 @dataclass(frozen=True)

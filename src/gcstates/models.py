@@ -3,16 +3,33 @@
 Each model is a one-dimensional Hamiltonian H = -d/dx[(1/2m(x)) d/dx] + V(x)
 whose mass profile and potential close a shape-invariant ladder algebra: a
 lowering operator L- connects eigenstate n to n-1, and the whole construction
-downstream (coherent states, photon statistics, measures, the grid oracle)
-consumes a model only through the scalar sequences defined here.
+downstream (coherent states, photon statistics, measures) consumes a model
+only through its ladder family.  Only the grid oracle, which never sees the
+algebra, looks at the model id.
 
-Sequences, with ``unit`` the model's natural energy quantum:
+Ladder families
+---------------
+``QuadraticLadder(q, unit)``
+    e_n = n (1 + q (n + 1)), E_n = unit (n + 1/2 + q n (n+1)).  The
+    generalized factorial is rho_n = n! q^n (b)_n with b = 2 + 1/q, so the
+    normalizer is N(x) = 0F1(; b; x/q) and the reduced measure weight is a
+    modified Bessel kernel.  Labels need no rescaling (scale 1).
+
+``LinearLadder(scale, unit, ground)``
+    e_n = n, E_n = unit (n + ground), rho_n = n!, N(x) = exp(x): the
+    harmonic ladder, with exactly Poissonian statistics.  ``scale`` relates
+    the physical coherent-state label to e_n units.
+
+Each family owns its closed forms (steps, energies, remainders, ln rho_n,
+ln N and its complex kernel, the number moments and the measure weight);
+``ModelSpec.ladder`` resolves a spec's family once.  Model-level sequences,
+with ``unit`` the model's natural energy quantum:
 
 * ``energy(spec, n)``    absolute eigenvalue E_n,
 * ``remainder(spec, k)`` shape-invariance increment E_k - E_{k-1}, k >= 1,
 * ``step(spec, n)``      dimensionless e_n = (E_n - E_0) / unit, the squared
                          ladder coefficient (L- maps state n to sqrt(e_n)
-                         times state n-1),
+                         times state n-1); n may be an index array,
 * ``rho_log(spec, n)``   ln rho_n with rho_n = e_1 e_2 ... e_n (rho_0 = 1),
                          the generalized factorial that normalizes coherent
                          states.
@@ -23,52 +40,166 @@ Built-in model ids
     m(x) = (1 + lam x^2)^{-1} on the interval where the mass stays positive,
     V = m(x) alpha^2 x^2 / 2, in the lam < 0 regime where the spectrum is
     infinite.  Parameterized by the dimensionless nonlinearity
-    q = |lam/alpha|/2 > 0:  e_n = n (1 + q (n + 1)),
-    E_n = alpha (n + 1/2 + q n (n+1)), unit = alpha.
+    q = |lam/alpha|/2 > 0; quadratic ladder with unit alpha.
 
 ``bounded-osc``
-    m(x) = (1 - (lam x)^2)^{-1}, V = m(x) alpha^2 x^2 / 2.  Identical
-    sequences with q read as half the squared dimensionless profile slope;
-    the two models share every downstream formula through q.
+    m(x) = (1 - (lam x)^2)^{-1}, V = m(x) alpha^2 x^2 / 2.  The same
+    quadratic ladder with q read as half the squared dimensionless profile
+    slope.
 
 ``exp-mass``
-    m(x) = e^{-mu x} / 2 with a Morse-like partner potential.  E_n = n mu^2,
-    e_n = n, unit = mu^2.  The physical coherent-state label carries the
-    scale mu (``label_scale``), so rho in label units is n! mu^{2n}.
+    m(x) = e^{-mu x} / 2 with a Morse-like partner potential.  Linear ladder
+    with E_n = n mu^2 (unit mu^2, no zero-point energy) and label scale mu,
+    so rho in label units is n! mu^{2n}.
 
 ``harmonic``
-    Constant-mass reference produced by ``harmonic_limit``; e_n = n,
-    E_n = alpha (n + 1/2).
+    Constant-mass reference produced by ``harmonic_limit``; linear ladder
+    with E_n = alpha (n + 1/2).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import ConsistencyError
-from .specfn import pochhammer_log
+from .specfn import bessel_k, hyp0f1, hyp0f1_complex, log_gamma, pochhammer_log
 
 __all__ = [
     "MODEL_IDS",
     "ModelSpec",
-    "SpectralSequence",
+    "QuadraticLadder",
+    "LinearLadder",
     "make_model",
     "harmonic_limit",
     "energy",
     "remainder",
     "step",
-    "steps",
     "rho_log",
-    "rho_log_table",
     "rho_log_label",
 ]
 
 MODEL_IDS = ("nonlinear-osc", "bounded-osc", "exp-mass")
 
-_SINGULAR_MASS_IDS = ("nonlinear-osc", "bounded-osc")
+
+@dataclass(frozen=True)
+class QuadraticLadder:
+    """Ladder of the two singular-mass oscillators, e_n = n (1 + q (n + 1)).
+
+    Closed forms take n as an int (step also as an index array), x = |zeta|^2
+    in step units, complex w = conj(zeta_a) zeta_b, and xi = |z|^2 > 0.
+    """
+
+    q: float
+    unit: float
+    b: float = field(init=False, repr=False)  # lower 0F1 parameter 2 + 1/q
+    scale = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", 2.0 + 1.0 / self.q)
+
+    def step(self, n):
+        return n * (1.0 + self.q * (n + 1))
+
+    def energy(self, n: int) -> float:
+        return self.unit * (n + 0.5 + self.q * n * (n + 1))
+
+    def remainder(self, k: int) -> float:
+        return self.unit * (1.0 + 2.0 * k * self.q)
+
+    def rho_log(self, n: int) -> float:
+        """ln[n! q^n (b)_n]."""
+        return math.lgamma(n + 1) + (n * math.log(self.q) + pochhammer_log(self.b, n))
+
+    def norm_log(self, x: float) -> float:
+        """ln N(x) = ln 0F1(; b; x/q)."""
+        return hyp0f1(self.b, x / self.q).value
+
+    def norm_kernel(self, w: complex) -> tuple[float, complex]:
+        """(ln |N(w)|, N(w)/|N(w)|) by the complex 0F1 series."""
+        res = hyp0f1_complex(self.b, w / self.q)
+        return res.log_mag, res.phase
+
+    def moments(self, x: float) -> tuple[float, float]:
+        """(<n>, <n^2>) as ratios of neighboring 0F1 values."""
+        q, b = self.q, self.b
+        f0 = hyp0f1(b, x / q).value
+        f1 = hyp0f1(b + 1.0, x / q).value
+        f2 = hyp0f1(b + 2.0, x / q).value
+        mean = x / (1.0 + 2.0 * q) * math.exp(f1 - f0)
+        second = mean + x**2 / ((1.0 + 2.0 * q) * (1.0 + 3.0 * q)) * math.exp(f2 - f0)
+        return mean, second
+
+    def weight_log(self, xi: float) -> float:
+        """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
+        q = self.q
+        nu = 1.0 + 1.0 / q
+        u = xi / q
+        return (
+            math.log(2.0)
+            + 0.5 * nu * math.log(u)
+            + bessel_k(nu, 2.0 * math.sqrt(u))
+            - math.log(q)
+            - log_gamma(self.b)
+        )
+
+    def weight(self, xi: float) -> float:
+        """Full weight w~(xi) N(xi)."""
+        return math.exp(self.weight_log(xi) + self.norm_log(xi))
+
+
+@dataclass(frozen=True)
+class LinearLadder:
+    """Harmonic ladder e_n = n; E_0 = ground * unit, labels scaled by scale.
+
+    Arguments as for QuadraticLadder.
+    """
+
+    scale: float
+    unit: float
+    ground: float
+
+    def step(self, n):
+        return n * 1.0
+
+    def energy(self, n: int) -> float:
+        return self.unit * (n + self.ground)
+
+    def remainder(self, k: int) -> float:
+        return self.unit
+
+    def rho_log(self, n: int) -> float:
+        return math.lgamma(n + 1)
+
+    def norm_log(self, x: float) -> float:
+        return x
+
+    def norm_kernel(self, w: complex) -> tuple[float, complex]:
+        return w.real, cmath.exp(1j * w.imag)
+
+    def moments(self, x: float) -> tuple[float, float]:
+        return x, x + x**2
+
+    def weight_log(self, xi: float) -> float:
+        scale_sq = self.scale**2
+        return -math.log(scale_sq) - xi / scale_sq
+
+    def weight(self, xi: float) -> float:
+        # the exponential factors cancel exactly: w = 1/scale^2, flat
+        return 1.0 / self.scale**2
+
+
+# The ladder each model id closes; a new solvable model is one entry here.
+_LADDERS = {
+    "nonlinear-osc": lambda s: QuadraticLadder(s.nonlinearity, s.alpha),
+    "bounded-osc": lambda s: QuadraticLadder(s.nonlinearity, s.alpha),
+    "exp-mass": lambda s: LinearLadder(s.mu, s.mu**2, 0.0),
+    "harmonic": lambda s: LinearLadder(1.0, s.alpha, 0.5),
+}
 
 
 @dataclass(frozen=True)
@@ -87,25 +218,19 @@ class ModelSpec:
     mu: float | None = None
     step_bias: float = 0.0
 
+    @cached_property
+    def ladder(self) -> QuadraticLadder | LinearLadder:
+        """The model's ladder family, resolved on first use."""
+        return _LADDERS[self.id](self)
+
     @property
     def energy_unit(self) -> float:
-        if self.id == "exp-mass":
-            return self.mu**2
-        return self.alpha
+        return self.ladder.unit
 
     @property
     def label_scale(self) -> float:
         """Scale relating the physical coherent-state label to e_n units."""
-        if self.id == "exp-mass":
-            return self.mu
-        return 1.0
-
-    @property
-    def hyp_b(self) -> float | None:
-        """Lower 0F1 parameter 2 + 1/q, None for models without one."""
-        if self.id in _SINGULAR_MASS_IDS:
-            return 2.0 + 1.0 / self.nonlinearity
-        return None
+        return self.ladder.scale
 
 
 def make_model(
@@ -167,17 +292,21 @@ def make_model(
 def harmonic_limit(spec: ModelSpec) -> ModelSpec:
     """Constant-mass harmonic reference in the same energy units.
 
-    Defined for the two singular-mass models (q -> 0) and idempotent on a
-    spec that is already harmonic.  exp-mass has no such limit.
+    Defined for the quadratic ladder (q -> 0) and idempotent on a spec that
+    is already harmonic.  exp-mass has no such limit.
     """
     if spec.id == "harmonic":
         return spec
-    if spec.id not in _SINGULAR_MASS_IDS:
+    if not isinstance(spec.ladder, QuadraticLadder):
         raise ValueError(f"harmonic limit undefined for model {spec.id!r}")
     return ModelSpec("harmonic", alpha=spec.alpha)
 
 
-def _check_n(n: int, name: str = "n") -> int:
+def _check_n(n, name: str = "n"):
+    if isinstance(n, np.ndarray):
+        if n.dtype.kind not in "iu" or np.any(n < 0):
+            raise ValueError(f"{name} must hold nonnegative integers, got {n}")
+        return n
     if n != int(n) or n < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {n}")
     return int(n)
@@ -185,13 +314,7 @@ def _check_n(n: int, name: str = "n") -> int:
 
 def energy(spec: ModelSpec, n: int) -> float:
     """Absolute eigenvalue E_n."""
-    n = _check_n(n)
-    if spec.id == "exp-mass":
-        return n * spec.mu**2
-    if spec.id == "harmonic":
-        return spec.alpha * (n + 0.5)
-    q = spec.nonlinearity
-    return spec.alpha * (n + 0.5 + q * n * (n + 1))
+    return spec.ladder.energy(_check_n(n))
 
 
 def remainder(spec: ModelSpec, k: int) -> float:
@@ -199,42 +322,16 @@ def remainder(spec: ModelSpec, k: int) -> float:
     k = _check_n(k, "k")
     if k < 1:
         raise ValueError(f"remainder is defined for k >= 1, got {k}")
-    if spec.id == "exp-mass":
-        return spec.mu**2
-    if spec.id == "harmonic":
-        return spec.alpha
-    return spec.alpha * (1.0 + 2.0 * k * spec.nonlinearity)
+    return spec.ladder.remainder(k)
 
 
-def step(spec: ModelSpec, n: int) -> float:
-    """Dimensionless ladder step e_n = (E_n - E_0) / energy_unit."""
-    n = _check_n(n)
-    if spec.id in _SINGULAR_MASS_IDS:
-        base = n * (1.0 + spec.nonlinearity * (n + 1))
-    else:
-        base = float(n)
-    return base * (1.0 + spec.step_bias)
+def step(spec: ModelSpec, n):
+    """Dimensionless ladder step e_n = (E_n - E_0) / energy_unit.
 
-
-def steps(spec: ModelSpec, n_max: int) -> np.ndarray:
-    """Vector of e_n for n = 0..n_max."""
-    n = np.arange(_check_n(n_max, "n_max") + 1, dtype=float)
-    if spec.id in _SINGULAR_MASS_IDS:
-        base = n * (1.0 + spec.nonlinearity * (n + 1))
-    else:
-        base = n
-    return base * (1.0 + spec.step_bias)
-
-
-def _rho_log_closed(spec: ModelSpec, n: int) -> float:
-    # closed Gamma form of the step product; bias enters as n ln(1 + bias)
-    out = math.lgamma(n + 1)
-    if spec.id in _SINGULAR_MASS_IDS:
-        q = spec.nonlinearity
-        out += n * math.log(q) + pochhammer_log(2.0 + 1.0 / q, n)
-    if spec.step_bias:
-        out += n * math.log1p(spec.step_bias)
-    return out
+    n is an int or an integer index array; ``step(spec, np.arange(m + 1))``
+    gives e_0..e_m.
+    """
+    return spec.ladder.step(_check_n(n)) * (1.0 + spec.step_bias)
 
 
 def rho_log(spec: ModelSpec, n: int) -> float:
@@ -248,32 +345,16 @@ def rho_log(spec: ModelSpec, n: int) -> float:
     if n == 0:
         return 0.0
     product = math.fsum(math.log(step(spec, k)) for k in range(1, n + 1))
-    closed = _rho_log_closed(spec, n)
+    # closed Gamma form of the step product; bias enters as n ln(1 + bias)
+    closed = spec.ladder.rho_log(n)
+    if spec.step_bias:
+        closed += n * math.log1p(spec.step_bias)
     if abs(product - closed) > 1e-9 + 1e-12 * abs(product):
         raise ConsistencyError(
             f"rho_log({spec.id}, {n}): product form {product!r} vs closed "
             f"form {closed!r}"
         )
     return product
-
-
-def rho_log_table(spec: ModelSpec, n_max: int) -> np.ndarray:
-    """Array of ln rho_n for n = 0..n_max (cumulative sums of ln e_n).
-
-    The endpoint is cross-checked against the closed form, which bounds any
-    accumulation drift over the whole table.
-    """
-    n_max = _check_n(n_max, "n_max")
-    table = np.zeros(n_max + 1)
-    if n_max >= 1:
-        table[1:] = np.cumsum(np.log(steps(spec, n_max)[1:]))
-        closed = _rho_log_closed(spec, n_max)
-        if abs(table[-1] - closed) > 1e-9 + 1e-12 * abs(closed):
-            raise ConsistencyError(
-                f"rho_log_table({spec.id}, {n_max}) endpoint {table[-1]!r} vs "
-                f"closed form {closed!r}"
-            )
-    return table
 
 
 def rho_log_label(spec: ModelSpec, n: int) -> float:
@@ -287,26 +368,3 @@ def rho_log_label(spec: ModelSpec, n: int) -> float:
     if scale != 1.0:
         out += 2.0 * n * math.log(scale)
     return out
-
-
-class SpectralSequence:
-    """Thin bound view of the scalar sequences for one model.
-
-    Purely a convenience: all state lives in the immutable spec, so
-    instances are freely shareable across threads.
-    """
-
-    def __init__(self, spec: ModelSpec):
-        self.spec = spec
-
-    def energy(self, n: int) -> float:
-        return energy(self.spec, n)
-
-    def remainder(self, k: int) -> float:
-        return remainder(self.spec, k)
-
-    def step(self, n: int) -> float:
-        return step(self.spec, n)
-
-    def rho_log(self, n: int) -> float:
-        return rho_log(self.spec, n)

@@ -2,18 +2,19 @@
 
 The number distribution P_n = |c_n|^2 determines everything here.  The
 series route (direct sums over the truncated distribution) is the ground
-truth; the closed-form route evaluates the models' analytic expressions,
-which for the singular-mass oscillators are ratios of neighboring 0F1
-values:
+truth; the closed-form route evaluates the ladder family's analytic
+expressions, which for the quadratic ladder of the singular-mass
+oscillators are ratios of neighboring 0F1 values:
 
     <n>   = x/(1+2q)           * 0F1(b+1; x/q) / 0F1(b; x/q)
     <n^2> = <n> + x^2/((1+2q)(1+3q)) * 0F1(b+2; x/q) / 0F1(b; x/q)
 
-with b = 2 + 1/q and x = |z|^2.  exp-mass is exactly Poissonian with mean
-(|z|/mu)^2, the constant-mass reference exactly Poissonian with mean |z|^2.
+with b = 2 + 1/q and x = |z|^2.  The linear ladder is exactly Poissonian:
+mean (|z|/mu)^2 for exp-mass, |z|^2 for the constant-mass reference.
 
 The Mandel parameter Q = (var - mean)/mean classifies a state below, at, or
-above Poissonian counting statistics.
+above Poissonian counting statistics.  The round-off in a series Q grows
+with the mean, so the classification band is Q_TOL * max(1, <n>).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from scipy.optimize import brentq
 
 from .coherent import CoherentState, construct
 from .models import ModelSpec
-from .specfn import hyp0f1
 
 __all__ = [
     "StatsSummary",
@@ -35,11 +35,10 @@ __all__ = [
     "summary_closed",
     "classify",
     "mandel_q_closed",
-    "variance_formulations",
     "match_mean_abs_z",
 ]
 
-#: classification boundary half-width on Q
+#: classification boundary half-width on Q up to <n> = 1; it grows with <n>
 Q_TOL = 1e-9
 
 
@@ -80,7 +79,7 @@ def _summary(state, mean, second, method) -> StatsSummary:
         second_moment=second,
         variance=variance,
         mandel_q=q,
-        classification=classify(q),
+        classification=classify(q, Q_TOL * max(1.0, mean)),
         method=method,
     )
 
@@ -96,17 +95,7 @@ def summary_series(state: CoherentState) -> StatsSummary:
 
 def _closed_moments(spec: ModelSpec, abs_z_sq: float) -> tuple[float, float]:
     """Closed-form (mean, second moment) pair in the number operator."""
-    x = abs_z_sq / spec.label_scale**2
-    if spec.id in ("exp-mass", "harmonic"):
-        return x, x + x**2
-    q = spec.nonlinearity
-    b = spec.hyp_b
-    f0 = hyp0f1(b, x / q).value
-    f1 = hyp0f1(b + 1.0, x / q).value
-    f2 = hyp0f1(b + 2.0, x / q).value
-    mean = x / (1.0 + 2.0 * q) * math.exp(f1 - f0)
-    second = mean + x**2 / ((1.0 + 2.0 * q) * (1.0 + 3.0 * q)) * math.exp(f2 - f0)
-    return mean, second
+    return spec.ladder.moments(abs_z_sq / spec.label_scale**2)
 
 
 def summary_closed(state: CoherentState) -> StatsSummary:
@@ -122,49 +111,6 @@ def mandel_q_closed(spec: ModelSpec, abs_z: float) -> float:
     mean, second = _closed_moments(spec, abs_z**2)
     var = second - mean**2
     return var / mean - 1.0 if mean > 0 else 0.0
-
-
-def variance_formulations(state: CoherentState) -> dict:
-    """Evaluate the equivalent closed-form arrangements side by side.
-
-    For the singular-mass models the variance is often quoted either as
-    <n^2> - <n>^2 or rearranged as <n>(1 - <n>) + G with
-    G = x^2 0F1(b+2)/((1+2q)(1+3q) 0F1(b)), and Q likewise in a factored
-    arrangement.  The arrangements are algebraically identical; this report
-    evaluates each independently against the series values so that any
-    numerical daylight between them is visible rather than asserted away.
-    """
-    spec = state.spec
-    if spec.id not in ("nonlinear-osc", "bounded-osc"):
-        raise ValueError("variance_formulations applies to the singular-mass models")
-    x = abs(state.z) ** 2
-    q = spec.nonlinearity
-    b = spec.hyp_b
-    f0 = hyp0f1(b, x / q).value
-    f1 = hyp0f1(b + 1.0, x / q).value
-    f2 = hyp0f1(b + 2.0, x / q).value
-    mean = x / (1.0 + 2.0 * q) * math.exp(f1 - f0)
-    g = x**2 / ((1.0 + 2.0 * q) * (1.0 + 3.0 * q)) * math.exp(f2 - f0)
-    var_direct = mean + g - mean**2
-    var_factored = mean * (1.0 - mean) + g
-    q_direct = var_direct / mean - 1.0 if mean > 0 else 0.0
-    q_factored = (
-        x * math.exp(f2 - f1) / (1.0 + 3.0 * q) - mean if mean > 0 else 0.0
-    )
-    series = summary_series(state)
-    return {
-        "mean_closed": mean,
-        "mean_series": series.mean,
-        "variance_direct": var_direct,
-        "variance_factored": var_factored,
-        "variance_series": series.variance,
-        "mandel_q_direct": q_direct,
-        "mandel_q_factored": q_factored,
-        "mandel_q_series": series.mandel_q,
-        "max_formulation_gap": max(
-            abs(var_direct - var_factored), abs(q_direct - q_factored)
-        ),
-    }
 
 
 def match_mean_abs_z(spec: ModelSpec, target_mean: float) -> float:

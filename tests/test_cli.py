@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -29,6 +30,28 @@ def test_spectrum_csv_golden(capsys):
         "1,1.7,1.2,0.182321556793955",
         "2,3.1,1.4,1.13783300182139",
     ]
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+# expected stdout frozen from the CLI before the ladder-family refactor
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("coherent", ["coherent", "--z", "0.3+0.2i"]),
+        ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
+                   "--z", "0.5", "1.5", "2+1i"]),
+        ("fig1", ["fig1", "--zsq", "2", "--nmax", "4"]),
+        ("moments", ["moments", "--model", "exp-mass"]),
+        ("oracle", ["oracle", "--points", "500"]),
+        ("verify", ["verify", "--only", "algebra"]),
+    ],
+)
+def test_subcommand_golden(name, args, capsys):
+    code, out = run(args, capsys)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_spectrum_json(capsys):
@@ -177,10 +200,12 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text('{"bogus": 1}')
-    code, _ = run(["spectrum", "--config", str(cfg)], capsys)
-    assert code == 2
+    # "threshold" is no option's dest, so no subcommand would read it
+    for text in ('{"bogus": 1}', '{"threshold": 1}'):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        code, _ = run(["spectrum", "--config", str(cfg)], capsys)
+        assert code == 2
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -204,6 +229,16 @@ def test_out_writes_file(tmp_path, capsys):
 def test_bad_parameters_exit_two(args, capsys):
     assert cli.main(args) == 2
     capsys.readouterr()
+
+
+def test_numerical_error_exits_three(capsys):
+    # |zeta|^2 = 1e6 exhausts the coherent series budget
+    code = cli.main(["stats", "--model", "exp-mass", "--mu", "1e-3", "--z", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConvergenceError: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_model_exits_two_via_argparse():

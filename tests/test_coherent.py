@@ -58,6 +58,14 @@ def test_series_norm_matches_closed_form(spec, z_abs):
     )
 
 
+def test_norm_check_tolerance_scales_with_log_norm():
+    # ln N ~ 9950 here; series and closed form differ by ~1e-12 relative,
+    # above an absolute 1e-9 but well inside 1e-9 + 1e-12 |ln N|
+    st = coherent.construct(nonlinear(1e-6), 100.0)
+    assert st.log_norm == pytest.approx(st.log_norm_closed, rel=1e-12)
+    assert st.log_norm > 9900.0
+
+
 def test_coefficients_against_direct_sum():
     # rebuild the amplitudes from scratch: zeta^n / sqrt(rho_n N)
     spec = nonlinear(0.1)

@@ -112,7 +112,7 @@ def test_step_is_energy_above_ground_in_natural_units(spec):
 
 def test_steps_array_matches_scalar():
     spec = nonlinear(0.27)
-    arr = models.steps(spec, 50)
+    arr = models.step(spec, np.arange(51))
     assert arr.shape == (51,)
     assert arr[0] == 0.0
     for n in (1, 7, 50):
@@ -121,7 +121,7 @@ def test_steps_array_matches_scalar():
 
 def test_steps_strictly_increasing():
     for spec in ALL_SPECS:
-        arr = models.steps(spec, 200)
+        arr = models.step(spec, np.arange(201))
         assert np.all(np.diff(arr) > 0)
 
 
@@ -195,13 +195,6 @@ def test_rho_gamma_form_vs_step_product(q):
         assert abs(closed - acc) < 1e-9
 
 
-def test_rho_log_table_matches_pointwise():
-    spec = bounded(0.07)
-    table = models.rho_log_table(spec, 120)
-    for n in (0, 1, 60, 120):
-        assert table[n] == pytest.approx(models.rho_log(spec, n), rel=1e-12, abs=1e-12)
-
-
 def test_rho_label_units_expmass():
     # physical-label factorial for the exponential profile is n! mu^{2n}
     spec = expmass(mu=2.0)
@@ -228,12 +221,39 @@ def test_step_bias_scales_steps_not_energies():
     models.rho_log(bad, 50)
 
 
-def test_spectral_sequence_wrapper():
-    seq = models.SpectralSequence(nonlinear(0.1))
-    assert seq.energy(2) == 3.1
-    assert seq.remainder(1) == pytest.approx(1.2)
-    assert seq.step(1) == pytest.approx(1.2)
-    assert seq.rho_log(4) == pytest.approx(math.log(78.624))
+# ------------------------------------------------------------ ladder families
+
+
+def test_oscillators_share_one_quadratic_ladder():
+    for spec in (nonlinear(0.17), bounded(0.17)):
+        assert isinstance(spec.ladder, models.QuadraticLadder)
+        assert spec.ladder.b == 2.0 + 1.0 / 0.17
+        assert spec.label_scale == 1.0
+    assert nonlinear(0.17).ladder == bounded(0.17).ladder
+
+
+def test_linear_ladder_covers_expmass_and_harmonic():
+    spec = expmass(mu=2.0)
+    assert isinstance(spec.ladder, models.LinearLadder)
+    assert (spec.label_scale, spec.energy_unit) == (2.0, 4.0)
+    h = models.harmonic_limit(nonlinear(0.1, alpha=3.0))
+    assert isinstance(h.ladder, models.LinearLadder)
+    assert (h.label_scale, h.energy_unit) == (1.0, 3.0)
+
+
+def test_spec_resolves_its_ladder_once():
+    spec = nonlinear(0.1)
+    assert spec.ladder is spec.ladder
+    biased = dataclasses.replace(spec, step_bias=0.01)
+    assert biased.ladder == spec.ladder and biased != spec
+
+
+def test_step_rejects_bad_index_arrays():
+    spec = nonlinear(0.1)
+    with pytest.raises(ValueError):
+        models.step(spec, np.arange(-1, 3))
+    with pytest.raises(ValueError):
+        models.step(spec, np.linspace(0.0, 1.0, 3))
 
 
 def test_negative_n_rejected():
