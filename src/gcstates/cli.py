@@ -8,7 +8,7 @@ stats      photon statistics for one or more labels z
 fig1       number distributions at matched mean occupation, long format
 moments    resolution-of-unity moment check for one model
 oracle     finite-difference spectrum comparison
-verify     run every verification family and emit a JSON report
+verify     the gcstates.verify report as JSON; takes --out, not --format
 
 Exit codes: 0 success, 1 a verification-style check failed, 2 bad usage or
 parameters, 3 a numerical routine failed (a series did not converge, a
@@ -26,42 +26,21 @@ over the file, and a key that no subcommand option reads is an error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import coherent as coherent_mod
-from . import fockrep, measure, models, oracle, stats
+from . import measure, models, oracle, stats, verify
 from .exceptions import ConsistencyError, ConvergenceError, QuadratureError
 
 # a numerical routine that fails outside verify exits with code 3
 _NUMERICAL_ERRORS = (ConsistencyError, ConvergenceError, QuadratureError)
 
-# an internal invariant tripping during verification is a *finding*, not a
-# crash: these become fail rows in the report
-_CHECK_ERRORS = (*_NUMERICAL_ERRORS, ValueError)
-
 __all__ = ["main", "VERIFY_REPORT_SCHEMA"]
 
-#: schema of the verify report; field names are frozen
-VERIFY_REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["check_name", "status", "max_rel_error", "details"],
-        "additionalProperties": False,
-        "properties": {
-            "check_name": {"type": "string"},
-            "status": {"type": "string", "enum": ["pass", "fail"]},
-            "max_rel_error": {"type": "number"},
-            "details": {"type": "array", "items": {"type": "object"}},
-        },
-    },
-}
+#: schema of the verify report (field names frozen), as gcstates.verify has it
+VERIFY_REPORT_SCHEMA = verify.REPORT_SCHEMA
 
 _DEFAULT_NONLINEARITY = 0.1
 
@@ -124,6 +103,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, default=lambda o: o.item()) + "\n"
 
 
+def _write(args, header, rows) -> None:
+    """Rows as CSV, or with --format json as objects keyed by the header."""
+    if args.format == "json":
+        _emit(_json_text([dict(zip(header, row)) for row in rows]), args.out)
+    else:
+        _emit(_csv(header, rows), args.out)
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -133,14 +120,7 @@ def cmd_spectrum(args) -> int:
     for n in range(args.nmax + 1):
         r = models.remainder(spec, n) if n >= 1 else None
         rows.append((n, models.energy(spec, n), r, models.rho_log(spec, n)))
-    if args.format == "json":
-        payload = [
-            {"n": n, "E_n": e, "R_n": r, "rho_log_n": rho}
-            for n, e, r, rho in rows
-        ]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv(("n", "E_n", "R_n", "rho_log_n"), rows), args.out)
+    _write(args, ("n", "E_n", "R_n", "rho_log_n"), rows)
     return 0
 
 
@@ -161,30 +141,12 @@ def cmd_coherent(args) -> int:
     return 0
 
 
-def _stats_rows(spec, zs, eps):
-    summaries = [
-        stats.summary_series(coherent_mod.construct(spec, z, eps=eps)) for z in zs
-    ]
-    return [
-        (
-            spec.id,
-            spec.nonlinearity,
-            s.z_abs,
-            s.mean,
-            s.variance,
-            s.mandel_q,
-            s.classification,
-        )
-        for s in summaries
-    ]
-
-
 def cmd_stats(args) -> int:
     spec = _spec_from(args)
     if args.z_sweep is not None:
         start, stop, step_sz = args.z_sweep
-        if step_sz <= 0 or stop < start:
-            raise ValueError("z sweep needs start <= stop and a positive step")
+        if not (all(map(math.isfinite, args.z_sweep)) and step_sz > 0 and stop >= start):
+            raise ValueError("z sweep needs finite start <= stop and a positive step")
         count = int(math.floor((stop - start) / step_sz + 1e-9)) + 1
         zs = [complex(start + i * step_sz) for i in range(count)]
     elif _component_z(args) is not None:
@@ -192,23 +154,23 @@ def cmd_stats(args) -> int:
     else:
         zvals = args.z if isinstance(args.z, list) else [args.z]
         zs = [_parse_z(z) for z in zvals]
-    rows = _stats_rows(spec, zs, args.eps)
+    rows = []
+    for z in zs:
+        s = stats.summary_series(coherent_mod.construct(spec, z, eps=args.eps))
+        rows.append((spec.id, spec.nonlinearity, s.z_abs, s.mean, s.variance,
+                     s.mandel_q, s.classification))
     header = (
         "model", "lambda_prime", "z_abs", "mean", "variance",
         "mandel_q", "classification",
     )
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
+    _write(args, header, rows)
     return 0
 
 
 def cmd_fig1(args) -> int:
     target = args.zsq
-    if not target > 0:
-        raise ValueError("zsq must be positive")
+    if not (target > 0 and math.isfinite(target)):
+        raise ValueError(f"zsq must be positive and finite, got {target}")
     harmonic = models.harmonic_limit(
         models.make_model("nonlinear-osc", alpha=args.alpha, nonlinearity=0.1)
     )
@@ -225,11 +187,7 @@ def cmd_fig1(args) -> int:
         spec = models.make_model("nonlinear-osc", alpha=args.alpha, nonlinearity=lam)
         z_abs = stats.match_mean_abs_z(spec, target)
         add_panel("nonlinear", spec, z_abs, lam)
-    header = ("panel", "lambda_prime", "n", "P_n")
-    if args.format == "json":
-        _emit(_json_text([dict(zip(header, r)) for r in rows]), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
+    _write(args, ("panel", "lambda_prime", "n", "P_n"), rows)
     return 0
 
 
@@ -237,11 +195,7 @@ def cmd_moments(args) -> int:
     spec = _spec_from(args)
     reports = measure.verify_moments(spec, n_max=args.nmax)
     rows = [(r.n, r.quadrature, r.analytic_rho, r.rel_error) for r in reports]
-    header = ("n", "quadrature", "analytic", "rel_error")
-    if args.format == "json":
-        _emit(_json_text([dict(zip(header, r)) for r in rows]), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
+    _write(args, ("n", "quadrature", "analytic", "rel_error"), rows)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -261,186 +215,12 @@ def cmd_oracle(args) -> int:
         for c in comps
     ]
     header = ("model", "params", "n", "E_numeric", "E_analytic", "rel_error", "M")
-    if args.format == "json":
-        _emit(_json_text([dict(zip(header, r)) for r in rows]), args.out)
-    else:
-        _emit(_csv(header, rows), args.out)
-    return 0 if max(c.rel_error for c in comps) < 0.01 else 1
-
-
-# ------------------------------------------------------------ verification
-
-
-def _default_specs(corrupt: bool) -> list:
-    specs = [
-        models.make_model("nonlinear-osc", alpha=1.0, nonlinearity=0.1),
-        models.make_model("bounded-osc", alpha=1.0, nonlinearity=0.1),
-        models.make_model("exp-mass", alpha=2.0, mu=1.0),
-    ]
-    if corrupt:
-        # negative control: bias every ladder step by 1%
-        specs = [dataclasses.replace(s, step_bias=0.01) for s in specs]
-    return specs
-
-
-def _entry(name, details, max_rel) -> dict:
-    status = "pass" if all(d.get("passed", False) for d in details) else "fail"
-    return {
-        "check_name": name,
-        "status": status,
-        "max_rel_error": max_rel,
-        "details": details,
-    }
-
-
-def _fail_row(spec, item, exc) -> dict:
-    return {
-        "model": spec.id,
-        "item": item,
-        "error": f"{type(exc).__name__}: {exc}",
-        "passed": False,
-    }
-
-
-def _check_algebra(specs) -> dict:
-    details = []
-    worst = 0.0
-    for spec in specs:
-        unit = spec.energy_unit
-        gap = 0.0
-        for n in range(1, 61):
-            lhs = models.energy(spec, n) - models.energy(spec, n - 1)
-            gap = max(gap, abs(lhs - models.remainder(spec, n)) / unit)
-        details.append(
-            {"model": spec.id, "item": "telescoping", "value": gap,
-             "threshold": 1e-12, "passed": gap <= 1e-12}
-        )
-        worst = max(worst, gap)
-
-        gap = 0.0
-        for n in range(1, 61):
-            lhs = unit * models.step(spec, n)
-            rhs = models.energy(spec, n) - models.energy(spec, 0)
-            gap = max(gap, abs(lhs - rhs) / max(abs(rhs), unit))
-        details.append(
-            {"model": spec.id, "item": "step-energy identity", "value": gap,
-             "threshold": 1e-12, "passed": gap <= 1e-12}
-        )
-        worst = max(worst, gap)
-
-        try:
-            for n in (10, 50, 200):
-                models.rho_log(spec, n)  # raises if product and closed split
-            details.append(
-                {"model": spec.id, "item": "rho product vs closed form",
-                 "value": 0.0, "threshold": 1e-9, "passed": True}
-            )
-        except _CHECK_ERRORS as exc:
-            details.append(_fail_row(spec, "rho product vs closed form", exc))
-            worst = max(worst, 1.0)
-
-        try:
-            ops = fockrep.build(spec, 40)
-            comm = fockrep.commutator_diagonal(ops)
-            expect = np.diff(models.step(spec, np.arange(40)))
-            gap = float(np.max(np.abs(comm - expect) / np.maximum(expect, 1.0)))
-            details.append(
-                {"model": spec.id, "item": "commutator diagonal", "value": gap,
-                 "threshold": 1e-10, "passed": gap <= 1e-10}
-            )
-            worst = max(worst, gap)
-
-            gap = 0.0
-            for n in range(7):
-                v = fockrep.eigenstate_by_raising(ops, n)
-                e = np.zeros(40)
-                e[n] = 1.0
-                gap = max(gap, float(np.linalg.norm(v - e)))
-            details.append(
-                {"model": spec.id, "item": "raising reconstruction", "value": gap,
-                 "threshold": 1e-10, "passed": gap <= 1e-10}
-            )
-            worst = max(worst, gap)
-        except _CHECK_ERRORS as exc:
-            details.append(_fail_row(spec, "operator checks", exc))
-            worst = max(worst, 1.0)
-    return _entry("spectral_algebra", details, worst)
-
-
-def _check_annihilation(specs) -> dict:
-    details = []
-    worst = 0.0
-    for spec in specs:
-        for z_abs in (0.5, 1.5, 3.0):
-            try:
-                state = coherent_mod.construct(spec, z_abs, eps=1e-12)
-                ops = fockrep.build(spec, max(state.dim, 2))
-                res = coherent_mod.annihilation_residual(state, ops)
-            except _CHECK_ERRORS as exc:
-                details.append(_fail_row(spec, f"residual |z|={z_abs}", exc))
-                worst = max(worst, 1.0)
-                continue
-            details.append(
-                {"model": spec.id, "item": f"residual |z|={z_abs}", "value": res,
-                 "threshold": 1e-10, "passed": res < 1e-10}
-            )
-            worst = max(worst, res)
-    return _entry("annihilation", details, worst)
-
-
-def _check_moments(specs, nmax) -> dict:
-    details = []
-    worst = 0.0
-    for spec in specs:
-        try:
-            reports = measure.verify_moments(spec, n_max=nmax)
-        except _CHECK_ERRORS as exc:
-            details.append(_fail_row(spec, "moment quadrature", exc))
-            worst = max(worst, 1.0)
-            continue
-        for rep in reports:
-            details.append(
-                {"model": spec.id, "item": f"moment n={rep.n}",
-                 "value": rep.rel_error,
-                 "threshold": 1e-8 if rep.n == 0 else 1e-6,
-                 "passed": rep.passed}
-            )
-            worst = max(worst, rep.rel_error)
-    return _entry("moments", details, worst)
-
-
-def _check_spectrum(specs, points) -> dict:
-    details = []
-    worst = 0.0
-    for spec in specs:
-        try:
-            comps = oracle.compare_spectrum(spec, k=4, points=points)
-        except _CHECK_ERRORS as exc:
-            details.append(_fail_row(spec, "finite-difference solve", exc))
-            worst = max(worst, 1.0)
-            continue
-        for comp in comps:
-            details.append(
-                {"model": spec.id, "item": f"level n={comp.n}",
-                 "value": comp.rel_error, "threshold": 0.01,
-                 "passed": comp.rel_error < 0.01}
-            )
-            worst = max(worst, comp.rel_error)
-    return _entry("spectrum", details, worst)
+    _write(args, header, rows)
+    return 0 if max(c.rel_error for c in comps) < verify.LEVEL_TOL else 1
 
 
 def cmd_verify(args) -> int:
-    wanted = args.only or ["algebra", "annihilation", "moments", "spectrum"]
-    specs = _default_specs(args.corrupt_steps)
-    report = []
-    if "algebra" in wanted:
-        report.append(_check_algebra(specs))
-    if "annihilation" in wanted:
-        report.append(_check_annihilation(specs))
-    if "moments" in wanted:
-        report.append(_check_moments(specs, args.nmax))
-    if "spectrum" in wanted:
-        report.append(_check_spectrum(specs, args.points))
+    report = verify.run(args.only, args.corrupt_steps, args.nmax, args.points)
     _emit(_json_text(report), args.out)
     return 0 if all(e["status"] == "pass" for e in report) else 1
 
@@ -488,10 +268,11 @@ def _add_z_component_opts(sub) -> None:
 
 def _add_out_opts(sub, default_format="csv") -> None:
     sub.add_argument("--out", default="-", help="output path, - for stdout")
-    sub.add_argument(
-        "--format", choices=("csv", "json"), default=default_format,
-        help=f"output format (default {default_format})",
-    )
+    if default_format:
+        sub.add_argument(
+            "--format", choices=("csv", "json"), default=default_format,
+            help=f"output format (default {default_format})",
+        )
     sub.add_argument(
         "--config", default=None,
         help="JSON file of option defaults (explicit flags win)",
@@ -509,13 +290,11 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
         help="JSON file of option defaults (explicit flags win)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    built = []
 
     s = subs.add_parser("spectrum", help="energy levels and ladder sequences")
     _add_model_opts(s)
     _add_out_opts(s)
     s.add_argument("--nmax", type=int, default=10, help="highest level")
-    built.append(s)
     s.set_defaults(func=cmd_spectrum)
 
     s = subs.add_parser("coherent", help="construct one coherent state")
@@ -524,7 +303,6 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     s.add_argument("--z", default="0", help="label, e.g. 1.5 or 0.5+0.3i")
     _add_z_component_opts(s)
     s.add_argument("--eps", type=float, default=1e-12, help="truncation tolerance")
-    built.append(s)
     s.set_defaults(func=cmd_coherent)
 
     s = subs.add_parser("stats", help="photon statistics")
@@ -537,7 +315,6 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
         metavar=("START", "STOP", "STEP"), help="real label sweep",
     )
     s.add_argument("--eps", type=float, default=1e-12)
-    built.append(s)
     s.set_defaults(func=cmd_stats)
 
     s = subs.add_parser(
@@ -551,14 +328,12 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
         default=[0.07, 0.17, 0.27],
     )
     s.add_argument("--nmax", type=int, default=30)
-    built.append(s)
     s.set_defaults(func=cmd_fig1)
 
     s = subs.add_parser("moments", help="resolution-of-unity moment check")
     _add_model_opts(s)
     _add_out_opts(s)
     s.add_argument("--nmax", type=int, default=8, help="highest moment (max 12)")
-    built.append(s)
     s.set_defaults(func=cmd_moments)
 
     s = subs.add_parser("oracle", help="finite-difference spectrum comparison")
@@ -567,14 +342,12 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     s.add_argument("--levels", type=int, default=4, help="levels to compare")
     s.add_argument("--points", type=int, default=2000, help="grid points")
     s.add_argument("--pad", type=float, default=1e-6, help="relative wall inset")
-    built.append(s)
     s.set_defaults(func=cmd_oracle)
 
     s = subs.add_parser("verify", help="run every verification family")
-    _add_out_opts(s, default_format="json")
+    _add_out_opts(s, default_format=None)
     s.add_argument(
-        "--only", action="append",
-        choices=("algebra", "annihilation", "moments", "spectrum"),
+        "--only", action="append", choices=verify.FAMILIES,
         help="restrict to one family (repeatable)",
     )
     s.add_argument("--nmax", type=int, default=8, help="moment depth")
@@ -583,14 +356,13 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
         "--corrupt-steps", action="store_true",
         help="negative control: bias the ladder steps and expect failure",
     )
-    built.append(s)
     s.set_defaults(func=cmd_verify)
 
     # subparsers re-apply their own action defaults over the root namespace,
     # so config values must be installed per subcommand
     cfg = cfg or {}
     known = set()
-    for sub in built:
+    for sub in subs.choices.values():
         dests = {a.dest for a in sub._actions} - {"help", "config"}
         known |= dests
         rel = {k: v for k, v in cfg.items() if k in dests}

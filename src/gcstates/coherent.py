@@ -88,6 +88,8 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"label must be finite, got {z}")
     zeta = z / spec.label_scale
     x = abs(zeta) ** 2
 

@@ -75,12 +75,17 @@ class MomentReport:
     passed: bool
 
 
+#: relative moment error allowed for n >= 1, and for the n = 0 normalization
+MOMENT_TOL = 1e-6
+MOMENT0_TOL = 1e-8
+
+
 def verify_moments(
     spec: ModelSpec,
     n_max: int = 8,
     rel_tol: float = 1e-10,
-    threshold: float = 1e-6,
-    n0_threshold: float = 1e-8,
+    threshold: float = MOMENT_TOL,
+    n0_threshold: float = MOMENT0_TOL,
 ) -> list[MomentReport]:
     """Check int w~(xi) xi^n dxi = rho_n for n = 0..n_max.
 

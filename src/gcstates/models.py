@@ -250,6 +250,10 @@ def make_model(
         raise ValueError(
             f"unknown model {model_id!r}, expected one of {', '.join(MODEL_IDS)}"
         )
+    given = dict(alpha=alpha, nonlinearity=nonlinearity, mu=mu, lambda_tilde=lambda_tilde)
+    for name, value in given.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
 
@@ -334,6 +338,10 @@ def step(spec: ModelSpec, n):
     return spec.ladder.step(_check_n(n)) * (1.0 + spec.step_bias)
 
 
+#: absolute part of the product vs closed ln rho_n agreement rho_log enforces
+RHO_TOL = 1e-9
+
+
 def rho_log(spec: ModelSpec, n: int) -> float:
     """ln rho_n, with rho_n = prod_{k=1..n} e_k and rho_0 = 1.
 
@@ -349,7 +357,7 @@ def rho_log(spec: ModelSpec, n: int) -> float:
     closed = spec.ladder.rho_log(n)
     if spec.step_bias:
         closed += n * math.log1p(spec.step_bias)
-    if abs(product - closed) > 1e-9 + 1e-12 * abs(product):
+    if abs(product - closed) > RHO_TOL + 1e-12 * abs(product):
         raise ConsistencyError(
             f"rho_log({spec.id}, {n}): product form {product!r} vs closed "
             f"form {closed!r}"

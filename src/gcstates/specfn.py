@@ -39,9 +39,6 @@ __all__ = [
     "integrate_halfline",
 ]
 
-# Series terms below exp(_LOG_TINY) relative to the running sum are noise.
-_LOG_TINY = math.log(1e-18)
-
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""

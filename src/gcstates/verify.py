@@ -1,0 +1,179 @@
+"""Verification families: the checks behind ``gcstates verify``.
+
+Each family (ladder algebra, annihilation residual, resolution-of-unity
+moments, finite-difference spectrum) is a list of probes.  A probe takes one
+model and yields detail rows (item, value, threshold, passed).  ``run`` is
+the one driver: it loops over the models, turns a numerical error raised in
+a probe into a fail row (an internal invariant tripping is a finding, not a
+crash), and computes each family's status and worst value.  The library is
+called through module attributes, so wrapping one of them covers these calls.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+
+import numpy as np
+
+from . import coherent, fockrep, measure, models, oracle
+from .exceptions import ConsistencyError, ConvergenceError, QuadratureError
+
+__all__ = ["REPORT_SCHEMA", "FAMILIES", "LEVEL_TOL", "default_specs", "run"]
+
+#: schema of the verify report; field names are frozen
+REPORT_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "array",
+    "items": {
+        "type": "object",
+        "required": ["check_name", "status", "max_rel_error", "details"],
+        "additionalProperties": False,
+        "properties": {
+            "check_name": {"type": "string"},
+            "status": {"type": "string", "enum": ["pass", "fail"]},
+            "max_rel_error": {"type": "number"},
+            "details": {"type": "array", "items": {"type": "object"}},
+        },
+    },
+}
+
+FAMILIES = ("algebra", "annihilation", "moments", "spectrum")
+
+_CHECK_ERRORS = (ConsistencyError, ConvergenceError, QuadratureError, ValueError)
+
+IDENTITY_TOL = 1e-12  # telescoping and step-energy gaps, in energy units
+OPERATOR_TOL = 1e-10  # commutator diagonal and raising reconstruction
+RESIDUAL_TOL = 1e-10  # annihilation residual
+LEVEL_TOL = 0.01  # relative level error against the finite-difference oracle
+
+
+def default_specs(corrupt: bool = False) -> list[models.ModelSpec]:
+    """The verified models; ``corrupt`` biases every ladder step by 1%."""
+    specs = [
+        models.make_model("nonlinear-osc", alpha=1.0, nonlinearity=0.1),
+        models.make_model("bounded-osc", alpha=1.0, nonlinearity=0.1),
+        models.make_model("exp-mass", alpha=2.0, mu=1.0),
+    ]
+    if corrupt:
+        specs = [dataclasses.replace(s, step_bias=0.01) for s in specs]
+    return specs
+
+
+# ----------------------------------------------------------------- probes
+
+
+def _identities(spec):
+    unit = spec.energy_unit
+    gap = 0.0
+    for n in range(1, 61):
+        lhs = models.energy(spec, n) - models.energy(spec, n - 1)
+        gap = max(gap, abs(lhs - models.remainder(spec, n)) / unit)
+    yield "telescoping", gap, IDENTITY_TOL, gap <= IDENTITY_TOL
+
+    gap = 0.0
+    for n in range(1, 61):
+        lhs = unit * models.step(spec, n)
+        rhs = models.energy(spec, n) - models.energy(spec, 0)
+        gap = max(gap, abs(lhs - rhs) / max(abs(rhs), unit))
+    yield "step-energy identity", gap, IDENTITY_TOL, gap <= IDENTITY_TOL
+
+
+def _rho_product(spec):
+    for n in (10, 50, 200):
+        models.rho_log(spec, n)  # raises if product and closed split
+    yield "rho product vs closed form", 0.0, models.RHO_TOL, True
+
+
+def _operators(spec):
+    ops = fockrep.build(spec, 40)
+    comm = fockrep.commutator_diagonal(ops)
+    expect = np.diff(models.step(spec, np.arange(40)))
+    gap = float(np.max(np.abs(comm - expect) / np.maximum(expect, 1.0)))
+    yield "commutator diagonal", gap, OPERATOR_TOL, gap <= OPERATOR_TOL
+
+    gap = 0.0
+    for n in range(7):
+        v = fockrep.eigenstate_by_raising(ops, n)
+        e = np.zeros(40)
+        e[n] = 1.0
+        gap = max(gap, float(np.linalg.norm(v - e)))
+    yield "raising reconstruction", gap, OPERATOR_TOL, gap <= OPERATOR_TOL
+
+
+def _residual(spec, z_abs):
+    state = coherent.construct(spec, z_abs, eps=1e-12)
+    res = coherent.annihilation_residual(state, fockrep.build(spec, max(state.dim, 2)))
+    yield f"residual |z|={z_abs}", res, RESIDUAL_TOL, res < RESIDUAL_TOL
+
+
+def _moments(spec, nmax):
+    for rep in measure.verify_moments(spec, n_max=nmax):
+        cut = measure.MOMENT0_TOL if rep.n == 0 else measure.MOMENT_TOL
+        yield f"moment n={rep.n}", rep.rel_error, cut, rep.passed
+
+
+def _levels(spec, points):
+    for comp in oracle.compare_spectrum(spec, k=4, points=points):
+        yield f"level n={comp.n}", comp.rel_error, LEVEL_TOL, comp.rel_error < LEVEL_TOL
+
+
+def _table(nmax: int, points: int) -> dict:
+    """Family -> (check_name, [(item naming the probe's fail row, probe)])."""
+    return {
+        "algebra": ("spectral_algebra", [
+            ("ladder identities", _identities),
+            ("rho product vs closed form", _rho_product),
+            ("operator checks", _operators),
+        ]),
+        "annihilation": ("annihilation", [
+            (f"residual |z|={z}", functools.partial(_residual, z_abs=z))
+            for z in (0.5, 1.5, 3.0)
+        ]),
+        "moments": ("moments", [
+            ("moment quadrature", functools.partial(_moments, nmax=nmax)),
+        ]),
+        "spectrum": ("spectrum", [
+            ("finite-difference solve", functools.partial(_levels, points=points)),
+        ]),
+    }
+
+
+def run(only=None, corrupt: bool = False, nmax: int = 8, points: int = 2000) -> list[dict]:
+    """The ``gcstates verify`` report for the families in ``only`` (default all).
+
+    A probe that raises leaves one fail row (model, item, error, passed)
+    that counts as a relative error of 1.0.
+    """
+    unknown = set(only or ()) - set(FAMILIES)
+    if unknown:
+        raise ValueError(f"unknown verify families: {', '.join(sorted(unknown))}")
+    specs = default_specs(corrupt)
+    report = []
+    for family, (check_name, probes) in _table(nmax, points).items():
+        if only and family not in only:
+            continue
+        details = []
+        worst = 0.0
+        for spec in specs:
+            for item, probe in probes:
+                try:
+                    for name, value, threshold, passed in probe(spec):
+                        details.append(
+                            {"model": spec.id, "item": name, "value": value,
+                             "threshold": threshold, "passed": passed}
+                        )
+                        worst = max(worst, value)
+                except _CHECK_ERRORS as exc:
+                    details.append(
+                        {"model": spec.id, "item": item,
+                         "error": f"{type(exc).__name__}: {exc}", "passed": False}
+                    )
+                    worst = max(worst, 1.0)
+        report.append({
+            "check_name": check_name,
+            "status": "pass" if all(d["passed"] for d in details) else "fail",
+            "max_rel_error": worst,
+            "details": details,
+        })
+    return report

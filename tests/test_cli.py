@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gcstates import cli, coherent
+from gcstates.exceptions import QuadratureError
 
 
 def run(args, capsys):
@@ -35,22 +36,31 @@ def test_spectrum_csv_golden(capsys):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-# expected stdout frozen from the CLI before the ladder-family refactor
+# expected stdout frozen from the CLI before the ladder-family refactor; the
+# three further verify families were frozen before verification left the CLI
+GOLDEN_CASES = [
+    ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
+    ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
+               "--z", "0.5", "1.5", "2+1i"], 0),
+    ("fig1", ["fig1", "--zsq", "2", "--nmax", "4"], 0),
+    ("moments", ["moments", "--model", "exp-mass"], 0),
+    ("oracle", ["oracle", "--points", "500"], 0),
+    ("verify", ["verify", "--only", "algebra"], 0),
+    ("verify_annihilation", ["verify", "--only", "annihilation"], 0),
+    ("verify_spectrum", ["verify", "--only", "spectrum", "--points", "500"], 0),
+    ("verify_corrupt_moments",
+     ["verify", "--corrupt-steps", "--only", "moments", "--nmax", "2"], 1),
+]
+
+
+# ids name each case "<name>-args<i>", independent of the exit code column
 @pytest.mark.parametrize(
-    "name, args",
-    [
-        ("coherent", ["coherent", "--z", "0.3+0.2i"]),
-        ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
-                   "--z", "0.5", "1.5", "2+1i"]),
-        ("fig1", ["fig1", "--zsq", "2", "--nmax", "4"]),
-        ("moments", ["moments", "--model", "exp-mass"]),
-        ("oracle", ["oracle", "--points", "500"]),
-        ("verify", ["verify", "--only", "algebra"]),
-    ],
+    "name, args, exit_code", GOLDEN_CASES,
+    ids=[f"{case[0]}-args{i}" for i, case in enumerate(GOLDEN_CASES)],
 )
-def test_subcommand_golden(name, args, capsys):
+def test_subcommand_golden(name, args, exit_code, capsys):
     code, out = run(args, capsys)
-    assert code == 0
+    assert code == exit_code
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
@@ -186,6 +196,26 @@ def test_verify_corruption_detected(capsys):
     assert report[0]["status"] == "fail"
 
 
+def test_verify_turns_a_raising_probe_into_fail_rows(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise QuadratureError("injected failure")
+
+    monkeypatch.setattr("gcstates.oracle.compare_spectrum", broken)
+    code, out = run(["verify", "--only", "spectrum"], capsys)
+    assert code == 1
+    report = json.loads(out)
+    jsonschema.validate(report, cli.VERIFY_REPORT_SCHEMA)
+    [entry] = report
+    assert entry["status"] == "fail"
+    assert entry["max_rel_error"] == 1.0
+    models = [row["model"] for row in entry["details"]]
+    assert models == ["nonlinear-osc", "bounded-osc", "exp-mass"]
+    for row in entry["details"]:
+        assert row["item"] == "finite-difference solve"
+        assert row["error"].startswith("QuadratureError: ")
+        assert row["passed"] is False
+
+
 def test_config_file_defaults_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"model": "exp-mass", "mu": 2.0, "nmax": 3}))
@@ -224,6 +254,10 @@ def test_out_writes_file(tmp_path, capsys):
         ["fig1", "--zsq", "-1"],
         ["spectrum", "--model", "nonlinear-osc", "--lambda-prime", "-0.1"],
         ["spectrum", "--model", "nonlinear-osc", "--lambda-tilde", "0.3"],
+        ["spectrum", "--lambda-prime", "inf", "--nmax", "2"],
+        ["stats", "--z", "nan"],
+        ["fig1", "--zsq", "inf"],
+        ["stats", "--z-sweep", "0", "inf", "1"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):
@@ -245,6 +279,13 @@ def test_unknown_model_exits_two_via_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum", "--model", "box"])
     assert exc.value.code == 2
+
+
+def test_verify_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--format", "csv"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_console_script_end_to_end():

@@ -225,3 +225,9 @@ def test_construct_rejects_bad_eps():
     # anything strictly inside (0, 1) is a legal tolerance
     st = coherent.construct(nonlinear(), 1.0, eps=1e-3)
     assert st.dim >= 2
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_construct_rejects_non_finite_label(z):
+    with pytest.raises(ValueError, match="finite"):
+        coherent.construct(nonlinear(), z)

@@ -34,6 +34,23 @@ def test_make_model_rejects_unknown_id():
         models.make_model("box")
 
 
+@pytest.mark.parametrize(
+    "model_id, kwargs",
+    [
+        ("nonlinear-osc", {"nonlinearity": math.inf}),
+        ("nonlinear-osc", {"nonlinearity": math.nan}),
+        ("nonlinear-osc", {"alpha": math.inf, "nonlinearity": 0.1}),
+        ("nonlinear-osc", {"lambda_tilde": -math.inf}),
+        ("bounded-osc", {"nonlinearity": math.inf}),
+        ("exp-mass", {"mu": math.inf}),
+        ("exp-mass", {"alpha": math.inf, "mu": 1.0}),
+    ],
+)
+def test_make_model_rejects_non_finite(model_id, kwargs):
+    with pytest.raises(ValueError, match="must be finite"):
+        models.make_model(model_id, **kwargs)
+
+
 def test_make_model_rejects_positive_lambda_tilde():
     with pytest.raises(ValueError, match="out of scope"):
         models.make_model("nonlinear-osc", lambda_tilde=0.2)
