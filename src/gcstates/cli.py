@@ -20,7 +20,8 @@ byte-identical reruns are the norm.
 
 A JSON config file (--config) may hold any long-option value under its
 underscored name ({"model": "exp-mass", "mu": 2.0, ...}); explicit flags win
-over the file, and a key that no subcommand option reads is an error.
+over the file, and a key that the chosen subcommand does not read is an error
+(exit 2), even when another subcommand has that option.
 """
 
 from __future__ import annotations
@@ -359,18 +360,15 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_verify)
 
     # subparsers re-apply their own action defaults over the root namespace,
-    # so config values must be installed per subcommand
+    # so config values must be installed per subcommand; the keys a
+    # subcommand does not read are left for main to reject once it is chosen
     cfg = cfg or {}
-    known = set()
     for sub in subs.choices.values():
         dests = {a.dest for a in sub._actions} - {"help", "config"}
-        known |= dests
-        rel = {k: v for k, v in cfg.items() if k in dests}
-        if rel:
-            sub.set_defaults(**rel)
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        sub.set_defaults(
+            **{k: v for k, v in cfg.items() if k in dests},
+            config_unknown=sorted(set(cfg) - dests),
+        )
     return parser
 
 
@@ -393,6 +391,8 @@ def main(argv=None) -> int:
                 cfg = _load_config(tok.split("=", 1)[1])
         parser = build_parser(cfg)
         args = parser.parse_args(argv)
+        if args.config_unknown:
+            raise ValueError(f"unknown config keys: {', '.join(args.config_unknown)}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

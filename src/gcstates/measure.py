@@ -18,7 +18,11 @@ w~(xi) = exp(-xi/mu^2)/mu^2 (exp-mass; constant-mass limit: exp(-xi)).
 
 ``verify_moments`` integrates the weight against xi^n with the half-line
 quadrature and compares against exp(rho_log_label(n)) computed from the
-ladder steps.  The two routes share no formula, which is the point.
+ladder steps.  The two routes share no formula, which is the point.  Each
+weight value costs one ``specfn.bessel_k`` call, which is one Amos ``kve``
+evaluation except at small xi for large nu (q below 0.02), where
+K_nu overflows and the certified integral representation takes over; the
+check holds at n_max = 8 for q from 0.01 to 5.
 """
 
 from __future__ import annotations

@@ -97,10 +97,17 @@ class QuadraticLadder:
     q: float
     unit: float
     b: float = field(init=False, repr=False)  # lower 0F1 parameter 2 + 1/q
+    # ln[2 / (q Gamma(b))], the constant part of ln w~
+    weight_log_const: float = field(init=False, repr=False)
     scale = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "b", 2.0 + 1.0 / self.q)
+        object.__setattr__(
+            self,
+            "weight_log_const",
+            math.log(2.0) - math.log(self.q) - log_gamma(self.b),
+        )
 
     def step(self, n):
         return n * (1.0 + self.q * (n + 1))
@@ -136,16 +143,10 @@ class QuadraticLadder:
 
     def weight_log(self, xi: float) -> float:
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
-        q = self.q
-        nu = 1.0 + 1.0 / q
-        u = xi / q
-        return (
-            math.log(2.0)
-            + 0.5 * nu * math.log(u)
-            + bessel_k(nu, 2.0 * math.sqrt(u))
-            - math.log(q)
-            - log_gamma(self.b)
-        )
+        nu = 1.0 + 1.0 / self.q
+        u = xi / self.q
+        log_k = bessel_k(nu, 2.0 * math.sqrt(u))
+        return self.weight_log_const + 0.5 * nu * math.log(u) + log_k
 
     def weight(self, xi: float) -> float:
         """Full weight w~(xi) N(xi)."""

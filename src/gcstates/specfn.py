@@ -1,11 +1,17 @@
 """Scalar special-function kernels.
 
 Everything downstream leans on four primitives: the log-gamma function, the
-log-Pochhammer symbol, the confluent limit function 0F1 evaluated by its
-ascending series, and the modified Bessel function K_nu evaluated through its
-integral representation
+log-Pochhammer symbol, the confluent limit function 0F1 and the modified
+Bessel function K_nu.  0F1 is summed by its ascending series up to x = 1e8;
+beyond that it is Gamma(b) x^{(1-b)/2} I_{b-1}(2 sqrt x), with the scaled
+Bessel function from Amos's algorithm (ACM TOMS 12 (1986) 265, Algorithm 644,
+``scipy.special.ive``).  K_nu comes from the same algorithm (``kve``) where
+it is finite, from Hankel's large-argument series beyond Amos's argument
+limit x ~ 1.07e9, and from the integral representation
 
-    K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt.
+    K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt
+
+where K_nu(x) itself overflows a double (small x at large nu).
 
 Magnitudes are wild (generalized factorials grow faster than n!), so the
 kernels work in log space: ``log_gamma``, ``pochhammer_log`` and ``bessel_k``
@@ -25,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ive, kve
 
 from .exceptions import ConvergenceError, QuadratureError
 
@@ -82,14 +89,27 @@ class ComplexSeriesResult:
     converged: bool
 
 
+#: largest argument hyp0f1 sums by its series; beyond it the Bessel form
+HYP0F1_SERIES_MAX = 1e8
+
+
 def hyp0f1(b: float, x: float, rel_tol: float = 1e-15, max_terms: int = 100000) -> SeriesResult:
-    """Confluent limit function 0F1(; b; x) by its ascending series.
+    """Confluent limit function 0F1(; b; x).
+
+    Up to x = HYP0F1_SERIES_MAX the ascending series is summed; beyond it,
+    where the series needs some 2 sqrt(x) terms,
+
+        ln 0F1(; b; x) = ln Gamma(b) + (1-b)/2 ln x
+                         + ln ive(b-1, 2 sqrt x) + 2 sqrt x,
+
+    reported with terms_used = 0.  Where ive is not a positive finite
+    number (2 sqrt x beyond Amos's argument limit) the series is tried.
 
     Parameters
     ----------
     b : lower parameter, must be positive (the models only need b > 1).
-    x : argument, must be nonnegative.  Values up to about 1e6 stay
-        representable because the result is returned as a logarithm.
+    x : argument, must be nonnegative.  The result is returned as a
+        logarithm, so it stays representable far beyond exp(709).
     rel_tol : stop once the current term falls below rel_tol times the
         running sum on two consecutive terms.
     max_terms : series budget; exceeding it raises ConvergenceError.
@@ -104,6 +124,12 @@ def hyp0f1(b: float, x: float, rel_tol: float = 1e-15, max_terms: int = 100000) 
         raise ValueError(f"hyp0f1 requires x >= 0, got {x}")
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
+    if x > HYP0F1_SERIES_MAX:
+        s = 2.0 * math.sqrt(x)
+        scaled = ive(b - 1.0, s)
+        if 0.0 < scaled < math.inf:
+            value = math.lgamma(b) + 0.5 * (1.0 - b) * math.log(x)
+            return SeriesResult(value + math.log(scaled) + s, 1, 0, True)
     # All terms are positive: accumulate linearly, rescale on overflow risk.
     total = 1.0
     term = 1.0
@@ -181,18 +207,60 @@ def _log_cosh(u: float) -> float:
     return u - math.log(2.0) + math.log1p(math.exp(-2.0 * u))
 
 
-def bessel_k(nu: float, x: float) -> float:
-    """ln K_nu(x) via the integral representation, for nu >= 0, x > 0.
+#: Amos's argument limit (2**31 - 1)/2 ~ 1.07e9: kve and ive are NaN beyond it
+AMOS_X_MAX = (2**31 - 1) / 2
 
-    One uniform method covers every order the measure module asks for
-    (nu = 1 + 1/q grows large as the nonlinearity q shrinks), including
-    arguments where K itself would underflow.
+
+def bessel_k(nu: float, x: float) -> float:
+    """ln K_nu(x) for nu >= 0, x > 0.
+
+    Three routes, tried in order:
+
+    * x <= AMOS_X_MAX ~ 1.07e9 (Amos's argument limit), wherever kve(nu, x)
+      is finite: ln kve(nu, x) - x, with kve = K e^x from Amos's algorithm.
+    * x > AMOS_X_MAX: Hankel's large-argument series
+      1/2 ln(pi/2x) - x + ln sum_k a_k(nu)/x^k, accepted once its last kept
+      term is below 1e-16.
+    * otherwise, chiefly small x at large order (kve overflows at, e.g.,
+      nu = 101, x = 1e-3, because K itself exceeds the double range), and
+      any refused Hankel case: the integral representation
+      int_0^inf exp(-x cosh t) cosh(nu t) dt, certified to 1e-10 relative
+      by adaptive quadrature.  QuadratureError when it cannot certify.
+
+    The measure module asks for every order nu = 1 + 1/q, which grows large
+    as the nonlinearity q shrinks, including arguments where K underflows.
     """
     if nu < 0:
         raise ValueError(f"bessel_k requires nu >= 0, got {nu}")
     if not x > 0:
         raise ValueError(f"bessel_k requires x > 0, got {x}")
+    scaled = kve(nu, x)
+    if 0.0 < scaled < math.inf:
+        return math.log(scaled) - x
+    if x > AMOS_X_MAX:
+        value = _bessel_k_hankel(nu, x)
+        if value is not None:
+            return value
+    return _bessel_k_integral(nu, x)
 
+
+def _bessel_k_hankel(nu: float, x: float) -> float | None:
+    """ln K_nu(x) by Hankel's series, or None if no term reaches 1e-16."""
+    mu = 4.0 * nu * nu
+    total = term = 1.0
+    for k in range(1, 64):
+        nxt = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        if abs(nxt) >= abs(term):
+            return None  # the asymptotic series turned before converging
+        term = nxt
+        total += term
+        if abs(term) < 1e-16:
+            return 0.5 * math.log(math.pi / (2.0 * x)) - x + math.log(total)
+    return None
+
+
+def _bessel_k_integral(nu: float, x: float) -> float:
+    """ln K_nu(x) from its integral representation, certified to 1e-10."""
     # integrand exp(-x cosh t) cosh(nu t) peaks near x sinh t = nu
     t_peak = math.asinh(nu / x) if nu > 0 else 0.0
     lch_peak = _log_cosh(nu * t_peak)

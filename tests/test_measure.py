@@ -78,6 +78,19 @@ def test_moments_reproduce_factorials(spec):
         )
 
 
+@pytest.mark.parametrize(
+    "model,q",
+    [("nonlinear-osc", q) for q in (0.01, 0.02, 0.5, 2.0, 5.0)] + [("bounded-osc", 0.02)],
+)
+def test_moments_across_the_q_range(model, q):
+    # nu = 1 + 1/q runs from 1.2 to 101; at q = 0.01 the small-xi weight
+    # needs the integral route of bessel_k, where kve overflows
+    reports = measure.verify_moments(models.make_model(model, nonlinearity=q), n_max=8)
+    assert [r.n for r in reports] == list(range(9))
+    for rep in reports:
+        assert rep.passed, f"moment {rep.n}: rel {rep.rel_error:.3e}"
+
+
 def test_moment_zero_is_unity():
     rep = measure.verify_moments(nonlinear(0.27), n_max=0)[0]
     assert rep.analytic_rho == 1.0

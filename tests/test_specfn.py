@@ -1,4 +1,4 @@
-"""Special-function layer: series, Bessel integral, half-line quadrature."""
+"""Special-function layer: 0F1, the K_nu routes, half-line quadrature."""
 
 import math
 
@@ -8,6 +8,8 @@ import scipy.special as sp
 
 from gcstates.exceptions import ConvergenceError, QuadratureError
 from gcstates.specfn import (
+    AMOS_X_MAX,
+    HYP0F1_SERIES_MAX,
     bessel_k,
     hyp0f1,
     hyp0f1_complex,
@@ -108,6 +110,26 @@ def test_hyp0f1_against_scipy(b, x):
     assert ours == pytest.approx(sp.hyp0f1(b, x), rel=1e-12)
 
 
+@pytest.mark.parametrize("b", [2.5, 12.0, 52.0])
+@pytest.mark.parametrize("x", [1e6, 1e8, 1e10])
+def test_hyp0f1_against_mpmath(b, x):
+    mpmath = pytest.importorskip("mpmath")
+    res = hyp0f1(b, x)
+    with mpmath.workdps(30):
+        ref = float(mpmath.log(mpmath.hyp0f1(b, x)))
+    assert res.value == pytest.approx(ref, rel=1e-15)
+    # past the series range the Bessel form answers, with no series terms
+    assert (res.terms_used == 0) == (x > HYP0F1_SERIES_MAX)
+
+
+def test_hyp0f1_routes_agree_at_the_switch():
+    above = math.nextafter(HYP0F1_SERIES_MAX, math.inf)
+    for b in (2.5, 12.0, 52.0):
+        series, bessel = hyp0f1(b, HYP0F1_SERIES_MAX), hyp0f1(b, above)
+        assert series.terms_used > 0 and bessel.terms_used == 0
+        assert bessel.value == pytest.approx(series.value, rel=1e-14)
+
+
 def test_hyp0f1_rejects_bad_parameters():
     with pytest.raises(ValueError):
         hyp0f1(0.0, 1.0)
@@ -170,6 +192,48 @@ def test_bessel_k_underflow_range():
         + math.log1p((mu4 - 1.0) / (8.0 * x))
     )
     assert bessel_k(nu, x) == pytest.approx(asym, abs=1e-6)
+
+
+@pytest.mark.parametrize("nu", [1.2, 11.0, 51.0, 101.0])
+@pytest.mark.parametrize(
+    "x", [1e-4, 1e-3, 0.1, 1.0, 30.0, 1e3, 1e6, 1e9, AMOS_X_MAX, 2e9, 1e11]
+)
+def test_bessel_k_against_mpmath(nu, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(mpmath.log(mpmath.besselk(nu, x)))
+    assert abs(bessel_k(nu, x) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_bessel_k_region_boundaries():
+    # kve answers up to Amos's argument limit and returns NaN beyond it
+    # (Hankel route); it overflows to inf where K_nu itself exceeds the
+    # double range, small x at large order (integral route)
+    assert math.isfinite(sp.kve(1.2, AMOS_X_MAX))
+    assert math.isnan(sp.kve(1.2, math.nextafter(AMOS_X_MAX, math.inf)))
+    assert sp.kve(101.0, 1e-3) == math.inf
+    assert sp.kve(101.0, 1e-4) == math.inf
+    assert math.isfinite(sp.kve(51.0, 1e-3))
+
+
+@pytest.mark.parametrize(
+    "nu,x",
+    [
+        (101.0, 1e-4),  # kve overflows: integral
+        (101.0, 1e-3),  # kve overflows: integral
+        (1.2, 2e9),  # kve NaN: Hankel
+        (101.0, 1e11),  # kve NaN: Hankel
+        (1e4, 2e9),  # kve NaN: Hankel, whose sum differs from 1 by 0.025
+        (1e5, 2e9),  # kve NaN, Hankel diverges at once (nu^2 > x): integral
+    ],
+)
+def test_bessel_k_fallback_routes(nu, x):
+    mpmath = pytest.importorskip("mpmath")
+    assert not math.isfinite(sp.kve(nu, x))
+    with mpmath.workdps(30):
+        ref = float(mpmath.log(mpmath.besselk(nu, x)))
+    # a few ulps of ln K, which at x ~ 1e9 is far tighter than relative 1e-13
+    assert abs(bessel_k(nu, x) - ref) <= max(1e-12, 4.0 * math.ulp(ref))
 
 
 def test_bessel_k_rejects_bad_arguments():

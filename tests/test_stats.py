@@ -127,6 +127,17 @@ def test_match_mean_round_trip():
         assert stats.summary_series(st).mean == pytest.approx(target, rel=1e-8)
 
 
+def test_match_mean_large_target():
+    # <n> = 1e6 puts the 0F1 argument near 1e10, past the series range
+    mpmath = pytest.importorskip("mpmath")
+    q = 0.1
+    z_abs = stats.match_mean_abs_z(nonlinear(q), 1e6)
+    b, x = 2.0 + 1.0 / q, z_abs**2
+    with mpmath.workdps(30):
+        mean = x / (q * b) * mpmath.hyp0f1(b + 1, x / q) / mpmath.hyp0f1(b, x / q)
+    assert float(mean) == pytest.approx(1e6, rel=1e-10)
+
+
 def test_match_mean_rejects_nonpositive():
     with pytest.raises(ValueError):
         stats.match_mean_abs_z(nonlinear(), 0.0)
