@@ -3,8 +3,9 @@
 The coherent-state family resolves the identity against a radial weight.
 For the oscillators that weight is a modified-Bessel kernel; its power
 moments must reproduce the generalized factorials exactly, which is checked
-here by adaptive quadrature.  The label domain is the whole plane: the
-factorial growth makes the defining series entire.
+here by one certified trapezoid sum over a fixed grid in ln |z|^2.  The
+label domain is the whole plane: the factorial growth makes the defining
+series entire.
 """
 
 import numpy as np

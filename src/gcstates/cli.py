@@ -36,7 +36,7 @@ from . import measure, models, oracle, stats, verify
 from .exceptions import ConsistencyError, ConvergenceError, QuadratureError
 
 # a numerical routine that fails outside verify exits with code 3
-_NUMERICAL_ERRORS = (ConsistencyError, ConvergenceError, QuadratureError)
+_NUMERICAL_ERRORS = (ConsistencyError, ConvergenceError, QuadratureError, OverflowError)
 
 __all__ = ["main", "VERIFY_REPORT_SCHEMA"]
 
@@ -56,9 +56,7 @@ def _fmt(x) -> str:
 
 def _parse_z(text) -> complex:
     """Accept 1.5, -2, 0.5+0.3i, 1-2i, or plain j-notation."""
-    if isinstance(text, (int, float)):
-        return complex(text)
-    s = str(text).strip().replace(" ", "")
+    s = text.strip().replace(" ", "")
     try:
         return complex(s.replace("i", "j"))
     except ValueError:
@@ -116,6 +114,8 @@ def _write(args, header, rows) -> None:
 
 
 def cmd_spectrum(args) -> int:
+    if args.nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {args.nmax}")
     spec = _spec_from(args)
     rows = []
     for n in range(args.nmax + 1):
@@ -153,8 +153,7 @@ def cmd_stats(args) -> int:
     elif _component_z(args) is not None:
         zs = [_component_z(args)]
     else:
-        zvals = args.z if isinstance(args.z, list) else [args.z]
-        zs = [_parse_z(z) for z in zvals]
+        zs = [_parse_z(z) for z in args.z]
     rows = []
     for z in zs:
         s = stats.summary_series(coherent_mod.construct(spec, z, eps=args.eps))
@@ -172,6 +171,8 @@ def cmd_fig1(args) -> int:
     target = args.zsq
     if not (target > 0 and math.isfinite(target)):
         raise ValueError(f"zsq must be positive and finite, got {target}")
+    if args.nmax < 0:
+        raise ValueError(f"nmax must be nonnegative, got {args.nmax}")
     harmonic = models.harmonic_limit(
         models.make_model("nonlinear-osc", alpha=args.alpha, nonlinearity=0.1)
     )
@@ -360,16 +361,35 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_verify)
 
     # subparsers re-apply their own action defaults over the root namespace,
-    # so config values must be installed per subcommand; the keys a
-    # subcommand does not read are left for main to reject once it is chosen
+    # so config values must be installed per subcommand; keys and values a
+    # subcommand cannot read are left for main to reject once it is chosen
     cfg = cfg or {}
     for sub in subs.choices.values():
-        dests = {a.dest for a in sub._actions} - {"help", "config"}
-        sub.set_defaults(
-            **{k: v for k, v in cfg.items() if k in dests},
-            config_unknown=sorted(set(cfg) - dests),
-        )
+        actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+        unknown = sorted(set(cfg) - set(actions))
+        errors = [f"unknown config keys: {', '.join(unknown)}"] if unknown else []
+        values = {}
+        for key in (k for k in cfg if k in actions):
+            try:
+                values[key] = _from_config(actions[key], cfg[key])
+            except ValueError:
+                errors.append(f"config key {key} cannot be {json.dumps(cfg[key])}")
+        sub.set_defaults(**values, config_errors=errors)
     return parser
+
+
+def _from_config(action, value):
+    """A config value read as the command line reads the option it sets."""
+    if action.nargs == 0 and isinstance(value, bool):  # a switch
+        return value
+    many = action.nargs not in (None, 0) or isinstance(action, argparse._AppendAction)
+    items = value if many and isinstance(value, list) else [value]
+    if action.nargs == 0 or any(v is None or isinstance(v, (bool, list, dict)) for v in items):
+        raise ValueError("switches take true or false, other options numbers or strings")
+    out = [(action.type or str)(str(v)) for v in items]
+    if action.choices and not set(out) <= set(action.choices):
+        raise ValueError("not one of the choices")
+    return out if many else out[0]
 
 
 def _load_config(path: str) -> dict:
@@ -391,8 +411,8 @@ def main(argv=None) -> int:
                 cfg = _load_config(tok.split("=", 1)[1])
         parser = build_parser(cfg)
         args = parser.parse_args(argv)
-        if args.config_unknown:
-            raise ValueError(f"unknown config keys: {', '.join(args.config_unknown)}")
+        if args.config_errors:
+            raise ValueError("; ".join(args.config_errors))
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -141,12 +141,12 @@ class QuadraticLadder:
         second = mean + x**2 / ((1.0 + 2.0 * q) * (1.0 + 3.0 * q)) * math.exp(f2 - f0)
         return mean, second
 
-    def weight_log(self, xi: float) -> float:
+    def weight_log(self, xi):
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
         nu = 1.0 + 1.0 / self.q
         u = xi / self.q
-        log_k = bessel_k(nu, 2.0 * math.sqrt(u))
-        return self.weight_log_const + 0.5 * nu * math.log(u) + log_k
+        log_k = bessel_k(nu, 2.0 * np.sqrt(u))
+        return self.weight_log_const + 0.5 * nu * np.log(u) + log_k
 
     def weight(self, xi: float) -> float:
         """Full weight w~(xi) N(xi)."""
@@ -185,7 +185,7 @@ class LinearLadder:
     def moments(self, x: float) -> tuple[float, float]:
         return x, x + x**2
 
-    def weight_log(self, xi: float) -> float:
+    def weight_log(self, xi):
         scale_sq = self.scale**2
         return -math.log(scale_sq) - xi / scale_sq
 

@@ -38,8 +38,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # expected stdout frozen from the CLI before the ladder-family refactor; the
 # three further verify families were frozen before verification left the CLI,
-# and verify_corrupt_moments re-captured when ln K_nu moved to Amos's kve (its
-# moment values moved in the last two or three digits)
+# verify_corrupt_moments re-captured when ln K_nu moved to Amos's kve, and
+# moments and verify_corrupt_moments again when the moment check became one
+# fixed-grid trapezoid sum (each time only round-off digits moved)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -274,21 +275,48 @@ def test_out_writes_file(tmp_path, capsys):
         ["stats", "--z", "nan"],
         ["fig1", "--zsq", "inf"],
         ["stats", "--z-sweep", "0", "inf", "1"],
+        ["spectrum", "--nmax", "-1"],
+        ["fig1", "--nmax", "-1"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):
     assert cli.main(args) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ['{"nmax": 2.5}', '{"nmax": null}', '{"alpha": [1]}'])
+def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config key ")
+    assert captured.err.count("\n") == 1
+
+
+NUMERICAL_FAILURES = [
+    # |zeta|^2 = 1e6 exhausts the coherent series budget
+    (["stats", "--model", "exp-mass", "--mu", "1e-3", "--z", "1"], "ConvergenceError"),
+    (["coherent", "--z", "1e200"], "OverflowError"),
+    (["stats", "--model", "exp-mass", "--mu", "1e-300", "--z", "1"], "OverflowError"),
+    (["moments", "--lambda-prime", "1e300", "--nmax", "2"], "OverflowError"),
+    # the weight's scale mu^2 = 1e-24 is too close to the moment grid's edge
+    (["moments", "--model", "exp-mass", "--mu", "1e-12"], "QuadratureError"),
+]
 
 
 def test_numerical_error_exits_three(capsys):
-    # |zeta|^2 = 1e6 exhausts the coherent series budget
-    code = cli.main(["stats", "--model", "exp-mass", "--mu", "1e-3", "--z", "1"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("error: ConvergenceError: ")
-    assert captured.err.count("\n") == 1
+    for args, error in NUMERICAL_FAILURES:
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        assert code == 3, args
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {error}: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_unknown_model_exits_two_via_argparse():

@@ -7,6 +7,8 @@ import pytest
 import scipy.special as sp
 
 from gcstates import coherent, measure, models
+from gcstates.exceptions import QuadratureError
+from gcstates.specfn import integrate_halfline
 
 E_INV = 0.367879441171442322
 
@@ -79,16 +81,46 @@ def test_moments_reproduce_factorials(spec):
 
 
 @pytest.mark.parametrize(
-    "model,q",
-    [("nonlinear-osc", q) for q in (0.01, 0.02, 0.5, 2.0, 5.0)] + [("bounded-osc", 0.02)],
+    "model,param",
+    [("nonlinear-osc", q) for q in (1e-3, 5e-3, 0.01, 0.02, 0.5, 2.0, 5.0)]
+    + [("bounded-osc", 0.02), ("exp-mass", 1e-6), ("exp-mass", 1e4)],
 )
-def test_moments_across_the_q_range(model, q):
-    # nu = 1 + 1/q runs from 1.2 to 101; at q = 0.01 the small-xi weight
-    # needs the integral route of bessel_k, where kve overflows
-    reports = measure.verify_moments(models.make_model(model, nonlinearity=q), n_max=8)
+def test_moments_across_the_q_range(model, param):
+    # nu = 1 + 1/q runs from 1.2 to 1001; below q = 0.02 the small-xi
+    # weight needs the recurrence route of bessel_k, where kve overflows.
+    # For exp-mass the parameter is mu, which moves the weight's scale
+    # across eight decades of the fixed grid.
+    key = "mu" if model == "exp-mass" else "nonlinearity"
+    reports = measure.verify_moments(models.make_model(model, **{key: param}), n_max=8)
     assert [r.n for r in reports] == list(range(9))
     for rep in reports:
         assert rep.passed, f"moment {rep.n}: rel {rep.rel_error:.3e}"
+
+
+@pytest.mark.parametrize("spec", [nonlinear(0.1), nonlinear(2.0), expmass(1.0)],
+                         ids=["q0.1", "q2", "exp-mass-mu1"])
+def test_grid_sum_matches_adaptive_quadrature(spec):
+    # the independent reference: adaptive quadrature of the same weight
+    for rep in measure.verify_moments(spec, n_max=8):
+        ref = integrate_halfline(
+            lambda xi, n=rep.n: math.exp(measure.weight_tilde_log(spec, xi) + n * math.log(xi))
+        )
+        assert rep.quadrature == pytest.approx(ref, rel=1e-10)
+        assert 0 < rep.quad_error_estimate <= 1e-10 * rep.quadrature
+
+
+def test_grid_sum_refuses_a_tolerance_below_round_off():
+    with pytest.raises(QuadratureError):
+        measure.verify_moments(nonlinear(0.1), n_max=8, rel_tol=1e-20)
+
+
+def test_grid_sum_refuses_a_weight_off_the_grid():
+    # at mu = 1e-12 the weight's scale mu^2 = 1e-24 is only six decades
+    # above the grid's first node xi = 1e-30, where the integrand in
+    # u = ln xi, xi w~ ~ xi/mu^2, is still 1e-6 of the sum
+    with pytest.raises(QuadratureError) as exc:
+        measure.verify_moments(expmass(1e-12), n_max=2)
+    assert exc.value.error_bound > 1e-10 * exc.value.estimate
 
 
 def test_moment_zero_is_unity():

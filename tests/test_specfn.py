@@ -77,6 +77,8 @@ def test_bessel_k_order_recurrence():
         (2.0 + 1.0 / 0.27, 3, POCH_B027_3),
         (3.0, 0, 0.0),
         (1.0, 5, math.lgamma(6.0)),
+        # n < a: the Gamma difference would cancel 1e-9 away here
+        (1e6 + 2.0, 2, math.log(1000002.0 * 1000003.0)),
     ],
 )
 def test_pochhammer_log(a, n, expected):
@@ -194,9 +196,14 @@ def test_bessel_k_underflow_range():
     assert bessel_k(nu, x) == pytest.approx(asym, abs=1e-6)
 
 
-@pytest.mark.parametrize("nu", [1.2, 11.0, 51.0, 101.0])
+MPMATH_X = [1e-20, 1e-4, 1e-3, 0.1, 1.0, 30.0, 1e3, 1e6, 1e9, AMOS_X_MAX, 2e9, 1e11]
+
+
+# mpmath alone takes seconds at (1001, 1e3), so that case is left out
 @pytest.mark.parametrize(
-    "x", [1e-4, 1e-3, 0.1, 1.0, 30.0, 1e3, 1e6, 1e9, AMOS_X_MAX, 2e9, 1e11]
+    "x,nu",
+    [(x, nu) for x in MPMATH_X for nu in (1.2, 11.0, 51.0, 101.0, 201.0, 1001.0)
+     if (nu, x) != (1001.0, 1e3)],
 )
 def test_bessel_k_against_mpmath(nu, x):
     mpmath = pytest.importorskip("mpmath")
@@ -208,7 +215,7 @@ def test_bessel_k_against_mpmath(nu, x):
 def test_bessel_k_region_boundaries():
     # kve answers up to Amos's argument limit and returns NaN beyond it
     # (Hankel route); it overflows to inf where K_nu itself exceeds the
-    # double range, small x at large order (integral route)
+    # double range, small x at large order (recurrence route)
     assert math.isfinite(sp.kve(1.2, AMOS_X_MAX))
     assert math.isnan(sp.kve(1.2, math.nextafter(AMOS_X_MAX, math.inf)))
     assert sp.kve(101.0, 1e-3) == math.inf
@@ -219,17 +226,22 @@ def test_bessel_k_region_boundaries():
 @pytest.mark.parametrize(
     "nu,x",
     [
-        (101.0, 1e-4),  # kve overflows: integral
-        (101.0, 1e-3),  # kve overflows: integral
+        (101.0, 1e-4),  # kve overflows: recurrence
+        (101.0, 1e-3),  # kve overflows: recurrence
         (1.2, 2e9),  # kve NaN: Hankel
         (101.0, 1e11),  # kve NaN: Hankel
         (1e4, 2e9),  # kve NaN: Hankel, whose sum differs from 1 by 0.025
-        (1e5, 2e9),  # kve NaN, Hankel diverges at once (nu^2 > x): integral
+        (1e5, 2e9),  # kve NaN, Hankel diverges at once (nu^2 > x): refused
     ],
 )
 def test_bessel_k_fallback_routes(nu, x):
     mpmath = pytest.importorskip("mpmath")
     assert not math.isfinite(sp.kve(nu, x))
+    if x > AMOS_X_MAX and 4.0 * nu * nu > 8.0 * x:
+        # Hankel's first correction already exceeds 1: no route answers
+        with pytest.raises(ValueError, match=r"bessel_k\(100000.0, x\)"):
+            bessel_k(nu, x)
+        return
     with mpmath.workdps(30):
         ref = float(mpmath.log(mpmath.besselk(nu, x)))
     # a few ulps of ln K, which at x ~ 1e9 is far tighter than relative 1e-13
@@ -241,6 +253,24 @@ def test_bessel_k_rejects_bad_arguments():
         bessel_k(-1.0, 1.0)
     with pytest.raises(ValueError):
         bessel_k(1.0, 0.0)
+    with pytest.raises(ValueError):
+        bessel_k(1.0, np.array([1.0, -1.0]))
+
+
+def test_bessel_k_refuses_past_the_recurrence_order_cap():
+    # kve overflows, and the recurrence would climb 1e6 orders
+    with pytest.raises(ValueError, match=r"recurrence order <= 100000"):
+        bessel_k(1e6, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("nu", [1.2, 51.0, 101.0, 1001.0])
+def test_bessel_k_array_matches_scalar_calls(nu):
+    # spans all three routes: recurrence, kve and Hankel
+    x = np.concatenate([np.geomspace(1e-20, 1e9, 40), [2e9, 1e11]])
+    got = bessel_k(nu, x)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    assert got.tolist() == [bessel_k(nu, float(v)) for v in x]
+    assert isinstance(bessel_k(nu, 1.0), float)
 
 
 @pytest.mark.parametrize(
