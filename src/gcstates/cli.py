@@ -133,8 +133,8 @@ def cmd_coherent(args) -> int:
     state = coherent_mod.construct(spec, z, eps=args.eps)
     if args.format == "csv":
         rows = [
-            (n, state.log_coeff[n], state.phase[n].real, state.phase[n].imag)
-            for n in range(state.dim)
+            (state.n0 + k, state.log_coeff[k], state.phase[k].real, state.phase[k].imag)
+            for k in range(state.dim)
         ]
         _emit(_csv(("n", "log_mag", "phase_re", "phase_im"), rows), args.out)
     else:
@@ -179,10 +179,8 @@ def cmd_fig1(args) -> int:
     rows = []
 
     def add_panel(panel, spec, z_abs, lam):
-        state = coherent_mod.construct(spec, z_abs)
-        p = stats.distribution(state)
-        for n in range(args.nmax + 1):
-            rows.append((panel, lam, n, float(p[n]) if n < state.dim else 0.0))
+        c = coherent_mod.coeffs_on(coherent_mod.construct(spec, z_abs), 0, args.nmax + 1)
+        rows.extend((panel, lam, n, float(abs(c[n]) ** 2)) for n in range(args.nmax + 1))
 
     add_panel("harmonic", harmonic, math.sqrt(target), None)
     for lam in args.lambda_primes:

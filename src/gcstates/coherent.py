@@ -10,10 +10,12 @@ family supplies the closed normalization: 0F1(2 + 1/q; |z|^2/q) for the
 quadratic ladder of the singular-mass oscillators (label_scale 1), and
 exp(|zeta|^2) for the linear ladder (exp-mass: zeta = z/mu).
 
-Coefficients are stored as log magnitude plus unit phase because rho_n
-outruns double precision quickly.  Construction always evaluates N twice,
-once by direct series and once by closed form, and refuses to return a state
-if the two disagree.
+The weight |c_n|^2 holds its mass in a band of width O(|zeta|) around the
+n where e_n reaches |zeta|^2, so a state lives on a window [n0, n0 + dim)
+there (n0 = 0 for shallow labels), stored as log magnitude plus unit phase
+because rho_n outruns double precision quickly.  Construction always
+evaluates N twice, once by direct series and once by closed form, and
+refuses to return a state if the two disagree.
 """
 
 from __future__ import annotations
@@ -24,38 +26,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConsistencyError, ConvergenceError
-from .fockrep import TruncatedOperators
+from . import models
+from .exceptions import ConsistencyError
 from .models import ModelSpec
 
 __all__ = [
-    "CoherentState",
-    "construct",
-    "norm_log_closed",
-    "annihilation_residual",
-    "overlap",
-    "overlap_kernel",
-    "label_continuity",
-    "to_record",
-    "coeffs_from_record",
+    "CoherentState", "PEAK_INDEX_MAX", "construct", "coeffs_on", "norm_log_closed",
+    "annihilation_residual", "overlap", "overlap_kernel", "label_continuity",
+    "to_record", "coeffs_from_record",
 ]
 
-_LOG_TINY = math.log(1e-18)
+#: deepest peak index construct accepts (its anchor costs one log per index)
+PEAK_INDEX_MAX = 10**8
+_BLOCK = 1 << 18  # indices per array in the anchor sum
+_LOG_SPAN_EDGE = math.log(1e-18)  # ln N sums weights down to here, whatever eps
 
 
 @dataclass(frozen=True)
 class CoherentState:
-    """Truncated coefficient expansion of one coherent state.
+    """Coefficient expansion of one coherent state on its window [n0, n0 + dim).
 
-    log_coeff[n] + i*arg(phase[n]) encodes the normalized coefficient c_n;
-    log_norm is ln N from the direct series and log_norm_closed the same
-    quantity from the model's closed form.  tail_bound bounds the discarded
-    probability mass relative to the full norm.
+    log_coeff[k] + i*arg(phase[k]) encodes the normalized coefficient
+    c_{n0+k}; log_norm is ln N from the direct series and log_norm_closed
+    the same from the model's closed form.  tail_bound bounds the discarded
+    probability mass, on both sides, relative to the full norm.
     """
 
     spec: ModelSpec
     z: complex
     zeta: complex
+    n0: int
     dim: int
     log_coeff: np.ndarray
     phase: np.ndarray
@@ -65,7 +65,7 @@ class CoherentState:
     eps: float
 
     def coeffs(self) -> np.ndarray:
-        """Normalized complex coefficient vector c_0..c_{dim-1}."""
+        """Normalized complex coefficient vector c_n0..c_{n0+dim-1}."""
         return np.exp(self.log_coeff) * self.phase
 
 
@@ -77,13 +77,14 @@ def norm_log_closed(spec: ModelSpec, abs_z_sq: float) -> float:
 
 
 def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
-    """Build the coherent state with label z, truncated to tolerance eps.
+    """Build the coherent state with label z on the window set by eps.
 
-    The truncation keeps coefficients through the first index (past the
-    coefficient peak, where successive term ratios drop below 1/2) whose
-    probability weight |c_n|^2 falls below eps^2.  That makes the last kept
-    coefficient itself O(eps), so the annihilation residual of the truncated
-    vector is O(eps |z|), and leaves the discarded mass far below eps.
+    The weight |c_n|^2 rises while e_n < x = |zeta|^2 and falls after, so
+    the window runs out from the mode (the last n with e_n < x, found by
+    bisection on the steps) through the first weight at or below eps^2 on
+    each side, or down to n = 0.  Each edge coefficient is O(eps), so the
+    annihilation residual is O(eps |zeta|) and the discarded mass is far
+    below eps.  Peaks past PEAK_INDEX_MAX are refused with ValueError.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -92,66 +93,13 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
         raise ValueError(f"label must be finite, got {z}")
     zeta = z / spec.label_scale
     x = abs(zeta) ** 2
-
-    if x == 0.0:
-        return CoherentState(
-            spec=spec,
-            z=z,
-            zeta=zeta,
-            dim=1,
-            log_coeff=np.zeros(1),
-            phase=np.ones(1, dtype=complex),
-            log_norm=0.0,
-            log_norm_closed=norm_log_closed(spec, 0.0),
-            tail_bound=0.0,
-            eps=eps,
-        )
-
-    log_x = math.log(x)
-    # e_n exactly as models.step gives it, without its per-call validation
-    ladder_step, gain = spec.ladder.step, 1.0 + spec.step_bias
-    stop = min(_LOG_TINY, 2.0 * math.log(eps) + math.log(0.5))
-    tlogs = [0.0]
-    total = 0.0  # ln of running sum
-    n = 0
-    max_terms = 100000
-    while n < max_terms:
-        n += 1
-        t = tlogs[-1] + log_x - math.log(ladder_step(n) * gain)
-        tlogs.append(t)
-        total = np.logaddexp(total, t)
-        if t - total <= stop and x / (ladder_step(n + 1) * gain) <= 0.5:
-            break
-    else:
-        raise ConvergenceError(
-            f"coherent series for |zeta|^2 = {x} did not converge", terms_used=n
-        )
-    log_norm = float(total)
-
-    # smallest kept range whose last coefficient is already below eps
-    dim = None
-    for m in range(len(tlogs)):
-        if (
-            tlogs[m] - log_norm <= 2.0 * math.log(eps)
-            and x / (ladder_step(m + 1) * gain) <= 0.5
-        ):
-            dim = m + 1
-            break
-    if dim is None:  # pragma: no cover - the scan loop guarantees a hit
-        dim = len(tlogs)
-
-    t_next = tlogs[dim - 1] + log_x - math.log(ladder_step(dim) * gain)
-    r_next = x / (ladder_step(dim + 1) * gain)
-    tail_bound = math.exp(t_next - log_norm) / (1.0 - r_next)
-
+    vacuum = (0, np.zeros(1), 0.0, 0.0)
+    n0, log_coeff, log_norm, tail_bound = _window(spec, x, eps) if x else vacuum
     theta = cmath.phase(zeta)
-    ns = np.arange(dim)
-    log_coeff = (np.asarray(tlogs[:dim]) - log_norm) / 2.0
-    phase = np.exp(1j * theta * ns)
-
-    # the closed normalizer only describes the unbiased ladder, so the
-    # cross-check is skipped when a fault has been injected deliberately;
-    # the tolerance grows with ln N, as in models.rho_log
+    # the window's phase apart from the per-index one keeps neighbours exact
+    phase = cmath.exp(1j * theta * n0) * np.exp(1j * theta * np.arange(len(log_coeff)))
+    # the closed normalizer only describes the unbiased ladder, so the check
+    # is skipped under an injected fault; its tolerance grows with ln N
     closed = norm_log_closed(spec, abs(z) ** 2)
     gap = abs(log_norm - closed)
     if spec.step_bias == 0.0 and gap > 1e-9 + 1e-12 * abs(log_norm):
@@ -163,34 +111,84 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
     log_coeff.setflags(write=False)
     phase.setflags(write=False)
     return CoherentState(
-        spec=spec,
-        z=z,
-        zeta=zeta,
-        dim=dim,
-        log_coeff=log_coeff,
-        phase=phase,
-        log_norm=log_norm,
-        log_norm_closed=closed,
-        tail_bound=tail_bound,
-        eps=eps,
-    )
+        spec=spec, z=z, zeta=zeta, n0=n0, dim=len(log_coeff), log_coeff=log_coeff, phase=phase,
+        log_norm=log_norm, log_norm_closed=closed, tail_bound=tail_bound, eps=eps)
 
 
-def annihilation_residual(state: CoherentState, ops: TruncatedOperators) -> float:
-    """Norm of (L- - zeta) applied to the truncated coefficient vector.
+def _window(spec: ModelSpec, x: float, eps: float):
+    """(n0, ln|c_n| on the window, series ln N, tail bound) for x = |zeta|^2 > 0.
+
+    The log weights are one cumulative sum of ln(x/e_n) out from the mode; ln N
+    anchors them with ln(x^n0/rho_n0) = sum of ln(x/e_k), k <= n0, not the closed form.
+    """
+    ladder_step, gain, log_x = spec.ladder.step, 1.0 + spec.step_bias, math.log(x)
+
+    def step(n):  # e_n as models.step gives it, without its per-call validation
+        return ladder_step(n) * gain
+
+    def ln_ratio(lo, hi):  # ln(x / e_n) for n = lo..hi-1
+        return log_x - np.log(step(np.arange(lo, hi, dtype=float)))
+
+    # e_n >= n gain, so e_n >= x from n = x/gain + 1 on; bisect e_mode < x <= e_{mode+1}
+    mode, top = 0, min(math.floor(x / gain) + 1, PEAK_INDEX_MAX)
+    if step(top) < x:
+        raise ValueError(f"|zeta|^2 = {x:g} puts the coherent-state peak past n = "
+                         f"{PEAK_INDEX_MAX:g}, the deepest construct accepts")
+    while top - mode > 1:
+        mid = (mode + top) // 2
+        mode, top = (mid, top) if step(mid) < x else (mode, mid)
+
+    cut = 2.0 * math.log(eps)
+    edge = min(cut, _LOG_SPAN_EDGE)
+    # the reach of a Gaussian of variance x / (e_{mode+1} - e_mode) at the edge
+    half = int(math.sqrt(-2.0 * edge) * (math.sqrt(x / (step(mode + 1) - step(mode))) + 2)) + 1
+    while True:
+        lo, hi = max(mode - half, 0), mode + half + 1
+        d, k = ln_ratio(lo + 1, hi), mode - lo
+        # t_n - t_mode over [lo, hi), summed outward from the mode
+        t = np.concatenate((-np.cumsum(d[:k][::-1])[::-1], [0.0], np.cumsum(d[k:])))
+        log_sum = math.log(np.sum(np.exp(t)))
+        if t[-1] - log_sum <= edge and (lo == 0 or t[0] - log_sum <= edge):
+            break
+        half *= 2
+    # first weight <= eps^2 on each side of the mode, or n = 0
+    small = t - log_sum <= cut
+    end = k + 1 + int(np.argmax(small[k + 1 :]))
+    left = np.flatnonzero(small[:k])
+    start = int(left[-1]) if left.size else 0
+    n0 = lo + start
+
+    blocks = range(1, n0 + 1, _BLOCK)
+    anchor = math.fsum(float(np.sum(ln_ratio(a, min(a + _BLOCK, n0 + 1)))) for a in blocks)
+    # geometric bounds on the discarded mass: the term ratio falls outward
+    after = lo + end + 1
+    tail = math.exp(t[end] - log_sum) * x / step(after) / (1.0 - x / step(after + 1))
+    if n0 > 0:
+        tail += math.exp(t[start] - log_sum) * step(n0) / x / (1.0 - step(n0 - 1) / x)
+    log_coeff = (t[start : end + 1] - log_sum) / 2.0
+    return n0, log_coeff, float(anchor + log_sum - t[start]), tail
+
+
+def coeffs_on(state: CoherentState, lo: int, hi: int) -> np.ndarray:
+    """Coefficients c_lo..c_{hi-1}, zero outside the state's window."""
+    out = np.zeros(max(hi - lo, 0), dtype=complex)
+    a, b = max(lo, state.n0), min(hi, state.n0 + state.dim)
+    if a < b:
+        k = slice(a - state.n0, b - state.n0)
+        out[a - lo : b - lo] = np.exp(state.log_coeff[k]) * state.phase[k]
+    return out
+
+
+def annihilation_residual(state: CoherentState) -> float:
+    """Norm of (L- - zeta) c, with L- from the ladder steps over [n0 - 1, n0 + dim).
 
     Exact cancellation holds on every interior index, so the residual is the
-    pure truncation leak |zeta| |c_{dim-1}|, of order eps |zeta|.
+    pure leak at the two window edges, of order eps |zeta|.
     """
-    if ops.spec != state.spec:
-        raise ValueError("operators and state were built from different models")
-    if ops.dim < state.dim:
-        raise ValueError(
-            f"operator space (dim {ops.dim}) smaller than the state (dim {state.dim})"
-        )
-    c = np.zeros(ops.dim, dtype=complex)
-    c[: state.dim] = state.coeffs()
-    return float(np.linalg.norm(ops.lowering @ c - state.zeta * c))
+    lo, hi = max(state.n0 - 1, 0), state.n0 + state.dim
+    c = coeffs_on(state, lo, hi + 1)
+    lowered = np.sqrt(models.step(state.spec, np.arange(lo + 1, hi + 1))) * c[1:]
+    return float(np.linalg.norm(lowered - state.zeta * c[:-1]))
 
 
 def overlap_kernel(a: CoherentState, b: CoherentState) -> complex:
@@ -209,8 +207,8 @@ def overlap(a: CoherentState, b: CoherentState) -> complex:
     """
     if a.spec != b.spec:
         raise ValueError("overlap requires states of the same model")
-    m = min(a.dim, b.dim)
-    series = complex(np.sum(np.conj(a.coeffs()[:m]) * b.coeffs()[:m]))
+    lo, hi = max(a.n0, b.n0), min(a.n0 + a.dim, b.n0 + b.dim)
+    series = complex(np.sum(np.conj(coeffs_on(a, lo, hi)) * coeffs_on(b, lo, hi)))
     kernel = overlap_kernel(a, b)
     if abs(series - kernel) > 1e-8:
         raise ConsistencyError(
@@ -228,16 +226,16 @@ def label_continuity(state: CoherentState, delta: float) -> float:
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     shifted = construct(state.spec, state.z + delta, eps=state.eps)
-    m = max(state.dim, shifted.dim)
-    ca = np.zeros(m, dtype=complex)
-    cb = np.zeros(m, dtype=complex)
-    ca[: state.dim] = state.coeffs()
-    cb[: shifted.dim] = shifted.coeffs()
-    return float(np.linalg.norm(cb - ca) ** 2)
+    lo = min(state.n0, shifted.n0)
+    hi = max(state.n0 + state.dim, shifted.n0 + shifted.dim)
+    return float(np.linalg.norm(coeffs_on(shifted, lo, hi) - coeffs_on(state, lo, hi)) ** 2)
 
 
 def to_record(state: CoherentState) -> dict:
-    """JSON-ready record of one state (used by the CLI)."""
+    """JSON-ready record of one state (used by the CLI).
+
+    "coeffs" holds c_n0..c_{n0+dim-1}; "n0" is written only when non-zero.
+    """
     return {
         "model": state.spec.id,
         "z_re": state.z.real,
@@ -248,10 +246,10 @@ def to_record(state: CoherentState) -> dict:
             for lm, p in zip(state.log_coeff, state.phase)
         ],
         "log_norm": state.log_norm,
-    }
+    } | ({"n0": state.n0} if state.n0 else {})
 
 
 def coeffs_from_record(record: dict) -> np.ndarray:
-    """Complex coefficient vector encoded in a serialized record."""
+    """Complex coefficient vector (the window from n0) encoded in a record."""
     rows = np.asarray(record["coeffs"], dtype=float)
     return np.exp(rows[:, 0]) * (rows[:, 1] + 1j * rows[:, 2])

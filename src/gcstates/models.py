@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -291,6 +292,12 @@ def make_model(
         raise ValueError("exp-mass takes mu (and alpha), not a nonlinearity")
     if mu is None or not mu > 0:
         raise ValueError(f"exp-mass needs mu > 0, got {mu}")
+    # mu^2 is the energy unit and the weight's scale: it must be a normal double
+    if not sys.float_info.min <= mu * mu <= sys.float_info.max:
+        raise ValueError(
+            f"exp-mass needs mu in about [1.5e-154, 1.3e154], where mu^2 is a "
+            f"normal double, got {mu}"
+        )
     return ModelSpec("exp-mass", alpha=alpha, mu=float(mu))
 
 

@@ -55,7 +55,7 @@ class StatsSummary:
 
 
 def distribution(state: CoherentState) -> np.ndarray:
-    """Number distribution P_n = |c_n|^2 over the truncated range."""
+    """Number distribution P_n = |c_n|^2 over the window, n = n0..n0+dim-1."""
     return np.exp(2.0 * state.log_coeff)
 
 
@@ -87,7 +87,7 @@ def _summary(state, mean, second, method) -> StatsSummary:
 def summary_series(state: CoherentState) -> StatsSummary:
     """Mean, variance and Mandel Q by direct summation (ground truth)."""
     p = distribution(state)
-    n = np.arange(state.dim, dtype=float)
+    n = state.n0 + np.arange(state.dim, dtype=float)
     mean = float(np.dot(n, p))
     second = float(np.dot(n * n, p))
     return _summary(state, mean, second, "series")

@@ -103,7 +103,7 @@ def _operators(spec):
 
 def _residual(spec, z_abs):
     state = coherent.construct(spec, z_abs, eps=1e-12)
-    res = coherent.annihilation_residual(state, fockrep.build(spec, max(state.dim, 2)))
+    res = coherent.annihilation_residual(state)
     yield f"residual |z|={z_abs}", res, RESIDUAL_TOL, res < RESIDUAL_TOL
 
 
@@ -143,11 +143,16 @@ def run(only=None, corrupt: bool = False, nmax: int = 8, points: int = 2000) -> 
     """The ``gcstates verify`` report for the families in ``only`` (default all).
 
     A probe that raises leaves one fail row (model, item, error, passed)
-    that counts as a relative error of 1.0.
+    that counts as a relative error of 1.0.  Bad arguments raise ValueError
+    before any probe runs.
     """
     unknown = set(only or ()) - set(FAMILIES)
     if unknown:
         raise ValueError(f"unknown verify families: {', '.join(sorted(unknown))}")
+    if nmax != int(nmax) or not 0 <= nmax <= 12:
+        raise ValueError(f"nmax must be an integer in 0..12, got {nmax}")
+    if points != int(points) or points < 3:
+        raise ValueError(f"points must be an integer >= 3, got {points}")
     specs = default_specs(corrupt)
     report = []
     for family, (check_name, probes) in _table(nmax, points).items():

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gcstates import cli, coherent
+from gcstates import cli, coherent, models
 from gcstates.exceptions import QuadratureError
 
 
@@ -40,7 +40,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # three further verify families were frozen before verification left the CLI,
 # verify_corrupt_moments re-captured when ln K_nu moved to Amos's kve, and
 # moments and verify_corrupt_moments again when the moment check became one
-# fixed-grid trapezoid sum (each time only round-off digits moved)
+# fixed-grid trapezoid sum, and coherent, stats, fig1 and verify_annihilation
+# when coherent states moved onto a window around their peak (each time only
+# round-off digits moved)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -277,6 +279,16 @@ def test_out_writes_file(tmp_path, capsys):
         ["stats", "--z-sweep", "0", "inf", "1"],
         ["spectrum", "--nmax", "-1"],
         ["fig1", "--nmax", "-1"],
+        ["verify", "--only", "moments", "--nmax", "13"],
+        ["verify", "--only", "moments", "--nmax", "-1"],
+        ["verify", "--only", "spectrum", "--points", "2"],
+        # mu^2 leaves the normal double range
+        ["stats", "--model", "exp-mass", "--mu", "1e-300", "--z", "1"],
+        ["spectrum", "--model", "exp-mass", "--mu", "1e-300", "--nmax", "2"],
+        ["moments", "--model", "exp-mass", "--mu", "1e-170"],
+        ["spectrum", "--model", "exp-mass", "--mu", "1e200"],
+        # |zeta|^2 = 4e8 puts the coherent-state peak past PEAK_INDEX_MAX
+        ["stats", "--model", "exp-mass", "--z", "2e4"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):
@@ -298,11 +310,41 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, text):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fig1", "--zsq", "1e6"],
+        ["stats", "--model", "exp-mass", "--mu", "1e-3", "--z", "1"],
+        ["stats", "--lambda-prime", "0.1", "--z", "1e5"],
+    ],
+)
+def test_deep_labels_exit_zero(args, capsys):
+    # each state sits on a window far from n = 0; construct checks its ln N
+    code, out = run(args, capsys)
+    assert code == 0
+    if args[0] == "fig1":
+        # the matched-mean distributions all sit near n = 1e6, past nmax = 30
+        assert {line.rsplit(",", 1)[1] for line in out.splitlines()[1:]} == {"0"}
+    elif "exp-mass" in args:
+        row = out.splitlines()[1].split(",")
+        assert float(row[3]) == pytest.approx(1e6, rel=1e-10)
+        assert row[6] == "Poissonian"
+
+
+def test_coherent_csv_gives_absolute_indices(capsys):
+    args = ["coherent", "--model", "exp-mass", "--mu", "0.5", "--z", "30"]
+    code, out = run(args + ["--format", "csv"], capsys)
+    state = coherent.construct(models.make_model("exp-mass", mu=0.5), 30)
+    assert code == 0
+    assert state.n0 > 0
+    rows = out.splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(state.n0, state.n0 + state.dim))
+    code, out = run(args, capsys)
+    assert json.loads(out)["n0"] == state.n0
+
+
 NUMERICAL_FAILURES = [
-    # |zeta|^2 = 1e6 exhausts the coherent series budget
-    (["stats", "--model", "exp-mass", "--mu", "1e-3", "--z", "1"], "ConvergenceError"),
     (["coherent", "--z", "1e200"], "OverflowError"),
-    (["stats", "--model", "exp-mass", "--mu", "1e-300", "--z", "1"], "OverflowError"),
     (["moments", "--lambda-prime", "1e300", "--nmax", "2"], "OverflowError"),
     # the weight's scale mu^2 = 1e-24 is too close to the moment grid's edge
     (["moments", "--model", "exp-mass", "--mu", "1e-12"], "QuadratureError"),

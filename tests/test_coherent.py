@@ -1,12 +1,13 @@
 """Coherent-state construction, overlaps, serialization."""
 
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gcstates import coherent, fockrep, models
+from gcstates import coherent, models
 from gcstates.exceptions import ConsistencyError
 
 # frozen from a 30-digit arbitrary-precision evaluation (q = 0.1, z = 1)
@@ -88,6 +89,62 @@ def test_unit_norm_and_tail_bound():
         assert 0.0 <= st.tail_bound < 1e-22
 
 
+@pytest.mark.parametrize(
+    "spec, z",
+    [(expmass(1.0), 1e3), (expmass(1.0), 1e4), (nonlinear(0.1), 1e5)],
+    ids=["exp-mass-x1e6", "exp-mass-x1e8", "nonlinear-osc-z1e5"],
+)
+def test_deep_labels_live_on_a_window(spec, z):
+    st = coherent.construct(spec, z)
+    assert st.n0 > 0
+    assert abs(st.log_norm - st.log_norm_closed) <= 1e-9 + 1e-12 * abs(st.log_norm)
+    assert float(np.sum(np.abs(st.coeffs()) ** 2)) == pytest.approx(1.0, abs=1e-13)
+    assert 0.0 <= st.tail_bound < 1e-20
+    if z == 1e3:
+        assert st.dim <= 25_000  # the old n = 0 start kept about 20,000 more
+
+
+def test_deep_complex_label_residual():
+    eps = 1e-12
+    st = coherent.construct(expmass(1.0), 900.0 * cmath.exp(2j), eps=eps)
+    assert st.n0 > 0
+    # the split phase exp(i theta n0) exp(i theta k) keeps neighbours exact
+    res = coherent.annihilation_residual(st)
+    assert res <= 10.0 * eps * abs(st.zeta)
+    # what is left is the leak at both window edges
+    c = st.coeffs()
+    leak = math.hypot(abs(st.zeta * c[-1]), math.sqrt(models.step(st.spec, st.n0)) * abs(c[0]))
+    assert res == pytest.approx(leak, rel=1e-3)
+
+
+def test_tail_bound_covers_both_sides():
+    # the mass a coarse window drops, measured on a fine one, on both sides
+    coarse = coherent.construct(expmass(0.5), 30.0, eps=1e-5)
+    fine = coherent.construct(expmass(0.5), 30.0)
+    lo, hi = fine.n0, fine.n0 + fine.dim
+    kept = coherent.coeffs_on(coarse, lo, hi) != 0.0
+    dropped = float(np.sum(np.abs(coherent.coeffs_on(fine, lo, hi)[~kept]) ** 2))
+    assert coarse.n0 > fine.n0 > 0
+    assert 0.5 * coarse.tail_bound < dropped <= coarse.tail_bound
+
+
+def test_construct_refuses_a_peak_past_the_range():
+    # e_n = n puts the peak at |zeta|^2; one past PEAK_INDEX_MAX is refused
+    with pytest.raises(ValueError, match="1e\\+08"):
+        coherent.construct(expmass(1.0), math.sqrt(coherent.PEAK_INDEX_MAX + 2.0))
+    with pytest.raises(ValueError, match="past n"):
+        coherent.construct(nonlinear(0.1), 1e9)
+
+
+def test_coeffs_on_pads_the_window_with_zeros():
+    st = coherent.construct(expmass(0.5), 30.0)
+    lo, hi = st.n0 - 3, st.n0 + 5
+    c = coherent.coeffs_on(st, lo, hi)
+    assert np.all(c[:3] == 0.0)
+    assert np.array_equal(c[3:], st.coeffs()[:5])
+    assert coherent.coeffs_on(st, 0, 10).tolist() == [0.0] * 10
+
+
 def test_truncation_grows_with_label():
     dims = [coherent.construct(nonlinear(), z).dim for z in (0.5, 2.0, 5.0)]
     assert dims[0] < dims[1] < dims[2]
@@ -98,8 +155,7 @@ def test_truncation_grows_with_label():
 def test_annihilation_eigenstate(spec, z_abs):
     eps = 1e-12
     st = coherent.construct(spec, z_abs, eps=eps)
-    ops = fockrep.build(spec, st.dim + 1)
-    res = coherent.annihilation_residual(st, ops)
+    res = coherent.annihilation_residual(st)
     assert res < 1e-10
     # truncation is the only residue, so the bound scales with eps |z|
     assert res <= 10.0 * eps * z_abs
@@ -108,18 +164,7 @@ def test_annihilation_eigenstate(spec, z_abs):
 def test_annihilation_complex_label():
     spec = nonlinear(0.27)
     st = coherent.construct(spec, 1.2 - 0.9j)
-    ops = fockrep.build(spec, st.dim + 1)
-    assert coherent.annihilation_residual(st, ops) < 1e-10
-
-
-def test_residual_guards():
-    st = coherent.construct(nonlinear(), 2.0)
-    small = fockrep.build(nonlinear(), 2)
-    with pytest.raises(ValueError):
-        coherent.annihilation_residual(st, small)
-    other = fockrep.build(nonlinear(0.27), st.dim)
-    with pytest.raises(ValueError):
-        coherent.annihilation_residual(st, other)
+    assert coherent.annihilation_residual(st) < 1e-10
 
 
 # ----------------------------------------------------------------- overlap
@@ -170,6 +215,28 @@ def test_overlap_expmass_gaussian_kernel():
     assert coherent.overlap(a, b) == pytest.approx(expected, abs=1e-12)
 
 
+def test_overlap_of_disjoint_windows_matches_the_kernel():
+    spec = expmass(1.0)
+    a = coherent.construct(spec, 1000.0)
+    b = coherent.construct(spec, 1100.0j)
+    assert a.n0 + a.dim < b.n0
+    assert coherent.overlap(a, b) == 0.0
+    assert abs(coherent.overlap_kernel(a, b)) <= 1e-8
+
+
+def test_overlap_of_deep_neighbours_matches_the_kernel():
+    # windows that overlap in part, far from n = 0; overlap raises on a split
+    spec = expmass(1.0)
+    a = coherent.construct(spec, 1000.0)
+    b = coherent.construct(spec, 1000.5 + 0.5j)
+    assert a.n0 != b.n0
+    expected = cmath.exp(
+        (a.zeta.conjugate() * b.zeta - 0.5 * (abs(a.zeta) ** 2 + abs(b.zeta) ** 2))
+    )
+    assert coherent.overlap(a, b) == pytest.approx(expected, abs=1e-8)
+    assert coherent.label_continuity(a, 1e-3) == pytest.approx(9.99999750e-7, rel=1e-6)
+
+
 def test_overlap_requires_same_model():
     a = coherent.construct(nonlinear(0.1), 1.0)
     b = coherent.construct(nonlinear(0.27), 1.0)
@@ -215,6 +282,15 @@ def test_record_round_trip():
     assert np.allclose(back, st.coeffs(), atol=1e-15)
     assert rec["model"] == "nonlinear-osc"
     assert rec["dim"] == st.dim
+
+
+def test_record_with_window_round_trip():
+    st = coherent.construct(expmass(0.5), 30.0 * cmath.exp(0.7j))
+    rec = json.loads(json.dumps(coherent.to_record(st)))
+    assert rec["n0"] == st.n0 > 0
+    assert np.allclose(coherent.coeffs_from_record(rec), st.coeffs(), atol=1e-15)
+    # shallow states keep the record as it was, without the key
+    assert "n0" not in coherent.to_record(coherent.construct(expmass(0.5), 1.0))
 
 
 def test_construct_rejects_bad_eps():

@@ -51,6 +51,18 @@ def test_make_model_rejects_non_finite(model_id, kwargs):
         models.make_model(model_id, **kwargs)
 
 
+@pytest.mark.parametrize("mu", [1e-300, 1e-170, 1.4e-154, 1.4e154, 1e200])
+def test_make_model_rejects_mu_whose_square_is_not_a_normal_double(mu):
+    with pytest.raises(ValueError, match=r"1\.5e-154, 1\.3e154"):
+        models.make_model("exp-mass", mu=mu)
+
+
+@pytest.mark.parametrize("mu", [1.5e-154, 1.3e154])
+def test_make_model_accepts_mu_at_the_edges_of_its_range(mu):
+    spec = models.make_model("exp-mass", mu=mu)
+    assert 0.0 < spec.energy_unit < math.inf
+
+
 def test_make_model_rejects_positive_lambda_tilde():
     with pytest.raises(ValueError, match="out of scope"):
         models.make_model("nonlinear-osc", lambda_tilde=0.2)

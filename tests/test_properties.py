@@ -1,0 +1,73 @@
+"""Property tests: every cross-check of a coherent state across its range.
+
+Labels run over the three families with q in [1e-4, 5], mu in [0.1, 10],
+|zeta| in [1e-2, 1e3] and any phase, so windows reach n0 ~ 1e6.  The
+examples are derandomized, so the suite stays deterministic.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gcstates import coherent, models, stats
+from gcstates.specfn import HYP0F1_SERIES_MAX
+
+EPS = 1e-12
+
+
+@st.composite
+def labels(draw):
+    model_id = draw(st.sampled_from(models.MODEL_IDS))
+    if model_id == "exp-mass":
+        spec = models.make_model(model_id, mu=draw(st.floats(0.1, 10.0)))
+    else:
+        q = math.exp(draw(st.floats(math.log(1e-4), math.log(5.0))))
+        spec = models.make_model(model_id, nonlinearity=q)
+    abs_zeta = math.exp(draw(st.floats(math.log(1e-2), math.log(1e3))))
+    arg = draw(st.floats(-math.pi, math.pi))
+    return spec, spec.label_scale * abs_zeta * cmath.exp(1j * arg)
+
+
+def corner(model_id, param, abs_zeta, arg):
+    key = "mu" if model_id == "exp-mass" else "nonlinearity"
+    spec = models.make_model(model_id, **{key: param})
+    return spec, spec.label_scale * abs_zeta * cmath.exp(1j * arg)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(labels())
+@example(corner("exp-mass", 0.1, 1e3, 2.0))  # n0 ~ 1e6
+@example(corner("nonlinear-osc", 1e-4, 1e3, -1.0))
+@example(corner("bounded-osc", 5.0, 1e3, 3.0))
+@example(corner("nonlinear-osc", 5.0, 1e-2, 0.5))
+def test_coherent_state_cross_checks(label):
+    spec, z = label
+    state = coherent.construct(spec, z, eps=EPS)  # raises if the two ln N split
+    x = abs(state.zeta) ** 2
+
+    assert abs(float(np.sum(np.abs(state.coeffs()) ** 2)) - 1.0) <= 1e-12
+
+    series, closed = stats.summary_series(state), stats.summary_closed(state)
+    assert abs(series.mean - closed.mean) <= 1e-10 * closed.mean
+    assert abs(series.second_moment - closed.second_moment) <= 1e-10 * closed.second_moment
+
+    # the quadratic kernel sums 0F1 by its series, which needs x/q in range
+    if spec.nonlinearity is None or x / spec.nonlinearity <= HYP0F1_SERIES_MAX:
+        other = coherent.construct(spec, z + 0.5 * spec.label_scale, eps=EPS)
+        assert abs(coherent.overlap(state, other)) <= 1.0 + 1e-12  # raises on a split
+
+    assert coherent.annihilation_residual(state) <= 10.0 * EPS * max(1.0, abs(state.zeta))
+
+    # P_0 = 1/N and P_1 = x P_0 / e_1 from the closed ln N; the window starts
+    # at the first weight <= eps^2 below the mode, so n0 = 0 while P_0 > eps^2
+    # and n0 > 0 once P_1 <= eps^2 as well
+    log_p0 = -state.log_norm_closed
+    log_p1 = log_p0 + math.log(x) - math.log(models.step(spec, 1))
+    if log_p0 > 2.0 * math.log(EPS):
+        assert state.n0 == 0
+    if log_p1 <= 2.0 * math.log(EPS):
+        assert state.n0 > 0
+
