@@ -195,8 +195,8 @@ def overlap_kernel(a: CoherentState, b: CoherentState) -> complex:
     """<a|b> from the analytic kernel N(conj(zeta_a) zeta_b) / sqrt(Na Nb)."""
     if a.spec != b.spec:
         raise ValueError("overlap requires states of the same model")
-    log_mag, phase = a.spec.ladder.norm_kernel(a.zeta.conjugate() * b.zeta)
-    return math.exp(log_mag - 0.5 * (a.log_norm + b.log_norm)) * phase
+    log_n = a.spec.ladder.norm_log(a.zeta.conjugate() * b.zeta)
+    return cmath.exp(log_n - 0.5 * (a.log_norm + b.log_norm))
 
 
 def overlap(a: CoherentState, b: CoherentState) -> complex:
@@ -205,11 +205,9 @@ def overlap(a: CoherentState, b: CoherentState) -> complex:
     The coefficient sum and the analytic kernel must agree to 1e-8 in
     absolute value; disagreement raises ConsistencyError.
     """
-    if a.spec != b.spec:
-        raise ValueError("overlap requires states of the same model")
+    kernel = overlap_kernel(a, b)
     lo, hi = max(a.n0, b.n0), min(a.n0 + a.dim, b.n0 + b.dim)
     series = complex(np.sum(np.conj(coeffs_on(a, lo, hi)) * coeffs_on(b, lo, hi)))
-    kernel = overlap_kernel(a, b)
     if abs(series - kernel) > 1e-8:
         raise ConsistencyError(
             f"overlap mismatch for {a.spec.id}: series {series!r} vs kernel {kernel!r}"

@@ -21,9 +21,10 @@ Ladder families
     the physical coherent-state label to e_n units.
 
 Each family owns its closed forms (steps, energies, remainders, ln rho_n,
-ln N and its complex kernel, the number moments and the measure weight);
-``ModelSpec.ladder`` resolves a spec's family once.  Model-level sequences,
-with ``unit`` the model's natural energy quantum:
+ln N at |zeta|^2 and at the overlap's complex conj(zeta_a) zeta_b, the
+number moments and the measure weight); ``ModelSpec.ladder`` resolves a
+spec's family once.  Model-level sequences, with ``unit`` the model's
+natural energy quantum:
 
 * ``energy(spec, n)``    absolute eigenvalue E_n,
 * ``remainder(spec, k)`` shape-invariance increment E_k - E_{k-1}, k >= 1,
@@ -59,7 +60,6 @@ Built-in model ids
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -68,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ConsistencyError
-from .specfn import bessel_k, hyp0f1, hyp0f1_complex, log_gamma, pochhammer_log
+from .specfn import bessel_k, hyp0f1, log_gamma, pochhammer_log
 
 __all__ = [
     "MODEL_IDS",
@@ -92,7 +92,8 @@ class QuadraticLadder:
     """Ladder of the two singular-mass oscillators, e_n = n (1 + q (n + 1)).
 
     Closed forms take n as an int (step also as an index array), x = |zeta|^2
-    in step units, complex w = conj(zeta_a) zeta_b, and xi = |z|^2 > 0.
+    in step units, xi = |z|^2 > 0, and norm_log also a complex
+    w = conj(zeta_a) zeta_b.
     """
 
     q: float
@@ -123,14 +124,9 @@ class QuadraticLadder:
         """ln[n! q^n (b)_n]."""
         return math.lgamma(n + 1) + (n * math.log(self.q) + pochhammer_log(self.b, n))
 
-    def norm_log(self, x: float) -> float:
-        """ln N(x) = ln 0F1(; b; x/q)."""
-        return hyp0f1(self.b, x / self.q).value
-
-    def norm_kernel(self, w: complex) -> tuple[float, complex]:
-        """(ln |N(w)|, N(w)/|N(w)|) by the complex 0F1 series."""
-        res = hyp0f1_complex(self.b, w / self.q)
-        return res.log_mag, res.phase
+    def norm_log(self, w):
+        """ln N(w) = ln 0F1(; b; w/q); complex unless w is real and w >= 0."""
+        return hyp0f1(self.b, w / self.q).value
 
     def moments(self, x: float) -> tuple[float, float]:
         """(<n>, <n^2>) as ratios of neighboring 0F1 values."""
@@ -177,11 +173,8 @@ class LinearLadder:
     def rho_log(self, n: int) -> float:
         return math.lgamma(n + 1)
 
-    def norm_log(self, x: float) -> float:
-        return x
-
-    def norm_kernel(self, w: complex) -> tuple[float, complex]:
-        return w.real, cmath.exp(1j * w.imag)
+    def norm_log(self, w):
+        return w
 
     def moments(self, x: float) -> tuple[float, float]:
         return x, x + x**2

@@ -2,9 +2,10 @@
 
 Everything downstream leans on four primitives: the log-gamma function, the
 log-Pochhammer symbol, the confluent limit function 0F1 and the modified
-Bessel function K_nu.  0F1 is summed by its ascending series up to x = 1e8;
-beyond that it is Gamma(b) x^{(1-b)/2} I_{b-1}(2 sqrt x), with the scaled
-Bessel function from Amos's algorithm (ACM TOMS 12 (1986) 265, Algorithm 644,
+Bessel function K_nu.  0F1, for a real argument x >= 0 or a complex w, is
+summed by its ascending series up to |w| = 1e8; beyond that it is
+Gamma(b) w^{(1-b)/2} I_{b-1}(2 sqrt w), with the scaled Bessel function from
+Amos's algorithm (ACM TOMS 12 (1986) 265, Algorithm 644,
 ``scipy.special.ive``).  K_nu, for a float or an array of arguments, comes
 from the same algorithm (``kve``) where it is finite, from forward
 recurrence in the order where K_nu itself overflows a double (small x at
@@ -12,7 +13,7 @@ large nu), and from Hankel's series beyond Amos's argument limit x ~ 1.07e9.
 
 Magnitudes are wild (generalized factorials grow faster than n!), so the
 kernels work in log space: ``log_gamma``, ``pochhammer_log`` and ``bessel_k``
-return logarithms, and the 0F1 routines return log-scaled magnitudes.
+return logarithms, and ``hyp0f1`` returns ln 0F1, complex for a complex w.
 
 ``integrate_halfline``, adaptive quadrature over (0, inf), is kept as the
 independent reference the moment check's grid sum is tested against.
@@ -20,6 +21,7 @@ independent reference the moment check's grid sum is tested against.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,11 +34,9 @@ from .exceptions import ConvergenceError, QuadratureError
 
 __all__ = [
     "SeriesResult",
-    "ComplexSeriesResult",
     "log_gamma",
     "pochhammer_log",
     "hyp0f1",
-    "hyp0f1_complex",
     "bessel_k",
     "integrate_halfline",
 ]
@@ -64,137 +64,82 @@ def pochhammer_log(a: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Log-scaled outcome of a positive-term series evaluation.
+    """ln of a series' sum, and the number of terms added (0 for a closed form).
 
-    value is ln(sum), sign is the sign of the sum (always +1 for the series
-    used here), terms_used counts the terms actually added.
+    value is a float for a real sum, and ln|sum| + i arg(sum) for a complex one.
     """
 
-    value: float
-    sign: int
+    value: float | complex
     terms_used: int
-    converged: bool
 
 
-@dataclass(frozen=True)
-class ComplexSeriesResult:
-    """Log-scaled complex series value: sum = exp(log_mag) * phase."""
-
-    log_mag: float
-    phase: complex
-    terms_used: int
-    converged: bool
-
-
-#: largest argument hyp0f1 sums by its series; beyond it the Bessel form
+#: largest |w| hyp0f1 sums by its series; beyond it the Bessel form
 HYP0F1_SERIES_MAX = 1e8
+_HYP0F1_TAIL = 1e-15  # the series stops once a term is below this share of sum |terms|
+_HYP0F1_MAX_TERMS = 100_000
 
 
-def hyp0f1(b: float, x: float, rel_tol: float = 1e-15, max_terms: int = 100000) -> SeriesResult:
-    """Confluent limit function 0F1(; b; x).
+def hyp0f1(b: float, w: float | complex) -> SeriesResult:
+    """ln 0F1(; b; w) for b > 0 and a real w >= 0 or a complex w.
 
-    Up to x = HYP0F1_SERIES_MAX the ascending series is summed; beyond it,
-    where the series needs some 2 sqrt(x) terms,
+    Up to |w| = HYP0F1_SERIES_MAX the ascending series is summed, on floats
+    for a real w.  It stops at the first term t_n with |t_n| below 1e-15
+    times the sum of the |terms| so far while the term ratio is below 1/2,
+    so the tail left out is smaller than t_n.  Beyond it, where the series
+    needs some 2 sqrt|w| terms, DLMF 10.39.9 with Amos's scaled Bessel
+    function (``ive``, real or complex) gives
 
-        ln 0F1(; b; x) = ln Gamma(b) + (1-b)/2 ln x
-                         + ln ive(b-1, 2 sqrt x) + 2 sqrt x,
+        ln 0F1(; b; w) = ln Gamma(b) + (1-b)/2 ln w
+                         + ln ive(b-1, 2 sqrt w) + Re(2 sqrt w),
 
-    reported with terms_used = 0.  Where ive is not a positive finite
-    number (2 sqrt x beyond Amos's argument limit) the series is tried.
+    reported with terms_used = 0.  Where ive is not a non-zero finite number
+    (2 sqrt|w| beyond Amos's argument limit) the series is tried, and past
+    100,000 terms it raises ConvergenceError.
 
-    Parameters
-    ----------
-    b : lower parameter, must be positive (the models only need b > 1).
-    x : argument, must be nonnegative.  The result is returned as a
-        logarithm, so it stays representable far beyond exp(709).
-    rel_tol : stop once the current term falls below rel_tol times the
-        running sum on two consecutive terms.
-    max_terms : series budget; exceeding it raises ConvergenceError.
-
-    Returns
-    -------
-    SeriesResult with value = ln 0F1(; b; x).
+    A real w, or a complex one on the non-negative real axis, gives a float
+    ln 0F1, accurate to about 1e-15 relative.  Any other complex w gives
+    ln|F| + i arg F with arg in (-pi, pi].  Past HYP0F1_SERIES_MAX ln|F| is
+    accurate to about 1e-13 relative; up to it the series cancels, so F is
+    accurate only to about 1e-13 times 0F1(; b; |w|), the scale of
+    sqrt(N_a N_b) in a coherent-state overlap.
     """
     if not b > 0:
         raise ValueError(f"hyp0f1 requires b > 0, got {b}")
-    if x < 0:
-        raise ValueError(f"hyp0f1 requires x >= 0, got {x}")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    if x > HYP0F1_SERIES_MAX:
-        s = 2.0 * math.sqrt(x)
+    if isinstance(w, complex) and w.imag == 0.0 and w.real >= 0.0:
+        w = w.real
+    if isinstance(w, complex):
+        log, sqrt = cmath.log, cmath.sqrt
+    elif w >= 0:
+        log, sqrt = math.log, math.sqrt
+    else:
+        raise ValueError(f"hyp0f1 requires a real w >= 0 or a complex w, got {w}")
+    if abs(w) > HYP0F1_SERIES_MAX:
+        s = 2.0 * sqrt(w)
         scaled = ive(b - 1.0, s)
-        if 0.0 < scaled < math.inf:
-            value = math.lgamma(b) + 0.5 * (1.0 - b) * math.log(x)
-            return SeriesResult(value + math.log(scaled) + s, 1, 0, True)
-    # All terms are positive: accumulate linearly, rescale on overflow risk.
-    total = 1.0
-    term = 1.0
-    log_scale = 0.0
-    small_streak = 0
-    n = 0
-    while n < max_terms:
-        term *= x / ((b + n) * (n + 1))
-        n += 1
+        if 0.0 < abs(scaled) < math.inf:
+            value = math.lgamma(b) + 0.5 * (1.0 - b) * log(w) + log(scaled) + s.real
+            if isinstance(value, complex):
+                value = complex(value.real, math.remainder(value.imag, math.tau))
+            return SeriesResult(value, 0)
+    # accumulate linearly, rescaling both sums when they near overflow
+    total = term = absum = 1.0
+    log_scale, tail, twice_size = 0.0, _HYP0F1_TAIL, 2.0 * abs(w)
+    for n in range(_HYP0F1_MAX_TERMS):
+        d = (b + n) * (n + 1)
+        term *= w / d
         total += term
-        if term < rel_tol * total:
-            small_streak += 1
-            if small_streak >= 2:
-                return SeriesResult(math.log(total) + log_scale, 1, n + 1, True)
-        else:
-            small_streak = 0
-        if total > 1e250:
-            total *= 1e-250
-            term *= 1e-250
-            log_scale += 250.0 * math.log(10.0)
-    raise ConvergenceError(
-        f"hyp0f1({b}, {x}) did not converge within {max_terms} terms", terms_used=n
-    )
-
-
-def hyp0f1_complex(
-    b: float, w: complex, rel_tol: float = 1e-15, max_terms: int = 100000
-) -> ComplexSeriesResult:
-    """0F1(; b; w) for complex w, as a log magnitude and a unit phase.
-
-    Convergence is judged against the sum of term magnitudes, so heavy
-    cancellation (w near the negative real axis) terminates correctly even
-    when the result itself is small.
-    """
-    if not b > 0:
-        raise ValueError(f"hyp0f1_complex requires b > 0, got {b}")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    total = 1.0 + 0.0j
-    absum = 1.0
-    term = 1.0 + 0.0j
-    log_scale = 0.0
-    small_streak = 0
-    n = 0
-    while n < max_terms:
-        term *= w / ((b + n) * (n + 1))
-        n += 1
-        total += term
-        absum += abs(term)
-        if abs(term) < rel_tol * absum:
-            small_streak += 1
-            if small_streak >= 2:
-                mag = abs(total)
-                if mag == 0.0:
-                    return ComplexSeriesResult(-math.inf, 1.0 + 0.0j, n + 1, True)
-                return ComplexSeriesResult(
-                    math.log(mag) + log_scale, total / mag, n + 1, True
-                )
-        else:
-            small_streak = 0
+        size = abs(term)
+        absum += size
+        if twice_size < d and size < tail * absum:  # the ratio |w|/d is below 1/2
+            return SeriesResult(log(total) + log_scale, n + 2)
         if absum > 1e250:
             total *= 1e-250
             term *= 1e-250
             absum *= 1e-250
             log_scale += 250.0 * math.log(10.0)
     raise ConvergenceError(
-        f"hyp0f1_complex({b}, {w}) did not converge within {max_terms} terms",
-        terms_used=n,
+        f"hyp0f1({b}, {w}) did not converge within {_HYP0F1_MAX_TERMS} terms",
+        terms_used=_HYP0F1_MAX_TERMS,
     )
 
 

@@ -68,10 +68,13 @@ def classify(q: float, tol: float = Q_TOL) -> str:
     return "Poissonian"
 
 
-def _summary(state, mean, second, method) -> StatsSummary:
-    variance = second - mean**2
+def _mandel_q(mean: float, variance: float) -> float:
     # vacuum limit: empty distribution counts as Poissonian
-    q = variance / mean - 1.0 if mean > 0 else 0.0
+    return variance / mean - 1.0 if mean > 0 else 0.0
+
+
+def _summary(state, mean, second, variance, method) -> StatsSummary:
+    q = _mandel_q(mean, variance)
     return StatsSummary(
         model=state.spec.id,
         z_abs=abs(state.z),
@@ -85,12 +88,16 @@ def _summary(state, mean, second, method) -> StatsSummary:
 
 
 def summary_series(state: CoherentState) -> StatsSummary:
-    """Mean, variance and Mandel Q by direct summation (ground truth)."""
+    """Mean, variance and Mandel Q by direct summation (ground truth).
+
+    The variance is the centred sum of (n - <n>)^2 P_n, which does not
+    cancel the way <n^2> - <n>^2 does at a large mean.
+    """
     p = distribution(state)
     n = state.n0 + np.arange(state.dim, dtype=float)
     mean = float(np.dot(n, p))
-    second = float(np.dot(n * n, p))
-    return _summary(state, mean, second, "series")
+    variance = float(np.dot((n - mean) ** 2, p))
+    return _summary(state, mean, variance + mean**2, variance, "series")
 
 
 def _closed_moments(spec: ModelSpec, abs_z_sq: float) -> tuple[float, float]:
@@ -101,7 +108,7 @@ def _closed_moments(spec: ModelSpec, abs_z_sq: float) -> tuple[float, float]:
 def summary_closed(state: CoherentState) -> StatsSummary:
     """Mean, variance and Mandel Q from the model's closed forms."""
     mean, second = _closed_moments(state.spec, abs(state.z) ** 2)
-    return _summary(state, mean, second, "closed_form")
+    return _summary(state, mean, second, second - mean**2, "closed_form")
 
 
 def mandel_q_closed(spec: ModelSpec, abs_z: float) -> float:
@@ -109,8 +116,7 @@ def mandel_q_closed(spec: ModelSpec, abs_z: float) -> float:
     if abs_z < 0:
         raise ValueError(f"abs_z must be nonnegative, got {abs_z}")
     mean, second = _closed_moments(spec, abs_z**2)
-    var = second - mean**2
-    return var / mean - 1.0 if mean > 0 else 0.0
+    return _mandel_q(mean, second - mean**2)
 
 
 def match_mean_abs_z(spec: ModelSpec, target_mean: float) -> float:

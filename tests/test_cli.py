@@ -41,8 +41,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # verify_corrupt_moments re-captured when ln K_nu moved to Amos's kve, and
 # moments and verify_corrupt_moments again when the moment check became one
 # fixed-grid trapezoid sum, and coherent, stats, fig1 and verify_annihilation
-# when coherent states moved onto a window around their peak (each time only
-# round-off digits moved)
+# when coherent states moved onto a window around their peak, and stats when
+# the series variance became a centred sum (each time only round-off digits
+# moved)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -139,6 +140,14 @@ def test_stats_expmass_poissonian_row(capsys):
     assert row[1] == ""  # no nonlinearity column value
     assert float(row[3]) == pytest.approx(4.0, abs=1e-10)
     assert row[6] == "Poissonian"
+
+
+def test_stats_deep_expmass_variance(capsys):
+    # <n^2> - <n>^2 would cancel about 8 of the 16 digits here
+    code, out = run(["stats", "--model", "exp-mass", "--z", "1e4"], capsys)
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert float(row[4]) == pytest.approx(1e8, rel=1e-12)
 
 
 def test_stats_sweep(capsys):

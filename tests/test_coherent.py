@@ -237,6 +237,17 @@ def test_overlap_of_deep_neighbours_matches_the_kernel():
     assert coherent.label_continuity(a, 1e-3) == pytest.approx(9.99999750e-7, rel=1e-6)
 
 
+@pytest.mark.parametrize("shift", [0.5, 0.5 + 0.5j])
+def test_overlap_of_deep_quadratic_neighbours(shift):
+    # conj(zeta_a) zeta_b / q ~ 1e11 is past the 0F1 series range, so the
+    # kernel comes from Amos's ive; overlap raises on a split from it
+    spec = nonlinear(0.1)
+    a = coherent.construct(spec, 1e5)
+    b = coherent.construct(spec, 1e5 + shift)
+    assert abs((a.zeta.conjugate() * b.zeta) / 0.1) > 1e11
+    assert abs(coherent.overlap(a, b)) <= 1.0
+
+
 def test_overlap_requires_same_model():
     a = coherent.construct(nonlinear(0.1), 1.0)
     b = coherent.construct(nonlinear(0.27), 1.0)

@@ -1,5 +1,6 @@
 """Special-function layer: 0F1, the K_nu routes, half-line quadrature."""
 
+import cmath
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from gcstates.specfn import (
     HYP0F1_SERIES_MAX,
     bessel_k,
     hyp0f1,
-    hyp0f1_complex,
     integrate_halfline,
     log_gamma,
     pochhammer_log,
@@ -95,7 +95,6 @@ def test_pochhammer_log(a, n, expected):
 )
 def test_hyp0f1_frozen(b, x, expected):
     res = hyp0f1(b, x)
-    assert res.converged
     assert math.exp(res.value) == pytest.approx(expected, rel=1e-14)
 
 
@@ -137,25 +136,50 @@ def test_hyp0f1_rejects_bad_parameters():
         hyp0f1(0.0, 1.0)
     with pytest.raises(ValueError):
         hyp0f1(2.0, -1.0)
+    # 2 sqrt x is past Amos's argument limit, so ive is NaN, and the series
+    # would need some 1e9 terms
+    assert math.isnan(sp.ive(1.0, 2e9))
     with pytest.raises(ConvergenceError):
-        hyp0f1(2.0, 1e4, max_terms=5)
+        hyp0f1(2.0, 1e18)
 
 
 @pytest.mark.parametrize(
     "w", [0.5 + 0.0j, 2.0 + 3.0j, -4.0 + 0.0j, -25.0 + 1.0j, 10.0 - 10.0j]
 )
 def test_hyp0f1_complex_against_scipy(w):
-    res = hyp0f1_complex(12.0, w)
-    ours = math.exp(res.log_mag) * res.phase
+    ours = cmath.exp(hyp0f1(12.0, w).value)
     ref = complex(sp.hyp0f1(12.0, w))
     assert abs(ours - ref) <= 1e-12 * max(abs(ref), 1.0)
 
 
 def test_hyp0f1_complex_reduces_to_real():
-    r = hyp0f1(5.0, 7.0)
-    c = hyp0f1_complex(5.0, 7.0 + 0.0j)
-    assert c.log_mag == pytest.approx(r.value, rel=1e-14)
-    assert c.phase == pytest.approx(1.0)
+    # complex(x, 0) takes the float route, series or Bessel form alike
+    for x in (0.0, 7.0, 1e4, HYP0F1_SERIES_MAX, 1e10):
+        real, cplx = hyp0f1(5.0, x), hyp0f1(5.0, complex(x, 0.0))
+        assert isinstance(cplx.value, float)
+        assert cplx == real
+
+
+@pytest.mark.parametrize("b", [2.5, 12.0, 1002.0])
+@pytest.mark.parametrize("size", [1e6, 1e9, 1e11])
+@pytest.mark.parametrize("arg", [0.3, 1.0, 3.0, math.pi - 1e-3])
+def test_hyp0f1_complex_against_mpmath(b, size, arg):
+    # the docstring's contract: ln|F| to 1e-13 relative past the series
+    # range, and F to 1e-13 times 0F1(b; |w|) within it
+    mpmath = pytest.importorskip("mpmath")
+    w = cmath.rect(size, arg)
+    res = hyp0f1(b, w)
+    assert -math.pi < res.value.imag <= math.pi
+    with mpmath.workdps(30):
+        ref = mpmath.hyp0f1(b, mpmath.mpc(w.real, w.imag))
+        if size > HYP0F1_SERIES_MAX:
+            assert res.terms_used == 0
+            ref_log_abs = float(mpmath.log(abs(ref)))
+            assert abs(res.value.real - ref_log_abs) <= 1e-13 * abs(ref_log_abs)
+        else:
+            assert res.terms_used > 0
+            got = mpmath.exp(mpmath.mpc(res.value.real, res.value.imag))
+            assert abs(got - ref) <= 1e-13 * mpmath.hyp0f1(b, size)
 
 
 @pytest.mark.parametrize(
