@@ -21,12 +21,14 @@ byte-identical reruns are the norm.
 A JSON config file (--config) may hold any long-option value under its
 underscored name ({"model": "exp-mass", "mu": 2.0, ...}); explicit flags win
 over the file, and a key that the chosen subcommand does not read is an error
-(exit 2), even when another subcommand has that option.
+(exit 2), even when another subcommand has that option.  The parser is built
+once per process for each config, on the first call that needs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -44,6 +46,9 @@ __all__ = ["main", "VERIFY_REPORT_SCHEMA"]
 VERIFY_REPORT_SCHEMA = verify.REPORT_SCHEMA
 
 _DEFAULT_NONLINEARITY = 0.1
+
+#: most labels one stats --z-sweep may ask for
+SWEEP_MAX_LABELS = 10**6
 
 
 def _fmt(x) -> str:
@@ -148,7 +153,10 @@ def cmd_stats(args) -> int:
         start, stop, step_sz = args.z_sweep
         if not (all(map(math.isfinite, args.z_sweep)) and step_sz > 0 and stop >= start):
             raise ValueError("z sweep needs finite start <= stop and a positive step")
-        count = int(math.floor((stop - start) / step_sz + 1e-9)) + 1
+        span = (stop - start) / step_sz + 1e-9
+        if not span < SWEEP_MAX_LABELS:
+            raise ValueError(f"z sweep asks for more than {SWEEP_MAX_LABELS} labels")
+        count = int(math.floor(span)) + 1
         zs = [complex(start + i * step_sz) for i in range(count)]
     elif _component_z(args) is not None:
         zs = [_component_z(args)]
@@ -376,6 +384,12 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=32)
+def _parser(cfg_json: str) -> argparse.ArgumentParser:
+    # keyed on the config's JSON text in file order, so error texts keep it
+    return build_parser(json.loads(cfg_json))
+
+
 def _from_config(action, value):
     """A config value read as the command line reads the option it sets."""
     if action.nargs == 0 and isinstance(value, bool):  # a switch
@@ -407,8 +421,7 @@ def main(argv=None) -> int:
                 cfg = _load_config(argv[i + 1])
             elif tok.startswith("--config="):
                 cfg = _load_config(tok.split("=", 1)[1])
-        parser = build_parser(cfg)
-        args = parser.parse_args(argv)
+        args = _parser(json.dumps(cfg)).parse_args(argv)
         if args.config_errors:
             raise ValueError("; ".join(args.config_errors))
         return args.func(args)

@@ -128,13 +128,18 @@ class QuadraticLadder:
         """ln N(w) = ln 0F1(; b; w/q); complex unless w is real and w >= 0."""
         return hyp0f1(self.b, w / self.q).value
 
+    def mean(self, x: float, f0: float | None = None) -> float:
+        """<n> alone, bit for bit moments(x)[0]; f0 is ln 0F1(b; x/q) if known."""
+        q, b = self.q, self.b
+        f0 = hyp0f1(b, x / q).value if f0 is None else f0
+        return x / (1.0 + 2.0 * q) * math.exp(hyp0f1(b + 1.0, x / q).value - f0)
+
     def moments(self, x: float) -> tuple[float, float]:
         """(<n>, <n^2>) as ratios of neighboring 0F1 values."""
         q, b = self.q, self.b
         f0 = hyp0f1(b, x / q).value
-        f1 = hyp0f1(b + 1.0, x / q).value
+        mean = self.mean(x, f0)
         f2 = hyp0f1(b + 2.0, x / q).value
-        mean = x / (1.0 + 2.0 * q) * math.exp(f1 - f0)
         second = mean + x**2 / ((1.0 + 2.0 * q) * (1.0 + 3.0 * q)) * math.exp(f2 - f0)
         return mean, second
 
@@ -175,6 +180,9 @@ class LinearLadder:
 
     def norm_log(self, w):
         return w
+
+    def mean(self, x: float) -> float:
+        return x
 
     def moments(self, x: float) -> tuple[float, float]:
         return x, x + x**2

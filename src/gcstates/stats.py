@@ -129,8 +129,7 @@ def match_mean_abs_z(spec: ModelSpec, target_mean: float) -> float:
         raise ValueError(f"target_mean must be positive, got {target_mean}")
 
     def gap(abs_z):
-        mean, _ = _closed_moments(spec, abs_z**2)
-        return mean - target_mean
+        return spec.ladder.mean(abs_z**2 / spec.label_scale**2) - target_mean
 
     lo, hi = 1e-9, 2.0 * spec.label_scale * math.sqrt(target_mean) + 1.0
     while gap(hi) < 0:

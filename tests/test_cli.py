@@ -266,6 +266,60 @@ def test_config_rejects_keys_the_subcommand_does_not_read(tmp_path, capsys):
     assert out.startswith("n,E_n,R_n,rho_log_n\n")
 
 
+# one parser serves every call with the same config, so nothing one call
+# parses may leak into the next
+def test_config_value_does_not_outlive_its_call(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"nmax": 1}')
+    _, out = run(["spectrum", "--config", str(cfg)], capsys)
+    assert len(out.splitlines()) == 3
+    _, out = run(["spectrum"], capsys)
+    assert len(out.splitlines()) == 1 + 11
+
+
+def test_explicit_flag_equal_to_default_beats_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"nmax": 1}')
+    _, out = run(["spectrum", "--config", str(cfg), "--nmax", "10"], capsys)
+    assert len(out.splitlines()) == 1 + 11
+
+
+def test_list_options_fall_back_to_their_defaults(capsys):
+    run(["fig1", "--lambda-primes", "0.1", "--nmax", "2"], capsys)
+    _, out = run(["fig1", "--nmax", "2"], capsys)
+    panels = {tuple(line.split(",")[:2]) for line in out.splitlines()[1:]}
+    assert panels == {("harmonic", ""), ("nonlinear", "0.07"),
+                      ("nonlinear", "0.17"), ("nonlinear", "0.27")}
+    run(["stats", "--z", "2"], capsys)
+    _, out = run(["stats"], capsys)
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["1"]
+
+
+def test_rejected_config_leaves_later_calls_alone(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"format": "csv"}')
+    assert cli.main(["--config", str(cfg), "verify", "--only", "algebra"]) == 2
+    capsys.readouterr()
+    code, _ = run(["verify", "--only", "algebra"], capsys)
+    assert code == 0
+
+
+def test_parser_is_built_once_for_many_calls(monkeypatch, capsys):
+    builds = []
+    real = cli.build_parser
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for _ in range(20):
+        assert cli.main(["spectrum", "--nmax", "1"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "spec.csv"
     code, out = run(["spectrum", "--nmax", "1", "--out", str(target)], capsys)
@@ -298,6 +352,9 @@ def test_out_writes_file(tmp_path, capsys):
         ["spectrum", "--model", "exp-mass", "--mu", "1e200"],
         # |zeta|^2 = 4e8 puts the coherent-state peak past PEAK_INDEX_MAX
         ["stats", "--model", "exp-mass", "--z", "2e4"],
+        # sweeps whose label count is infinite or past SWEEP_MAX_LABELS
+        ["stats", "--z-sweep", "0", "1e308", "1e-308"],
+        ["stats", "--z-sweep", "0", "1e12", "1"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):

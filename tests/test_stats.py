@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from gcstates import coherent, models, stats
 
@@ -141,6 +142,38 @@ def test_match_mean_large_target():
 def test_match_mean_rejects_nonpositive():
     with pytest.raises(ValueError):
         stats.match_mean_abs_z(nonlinear(), 0.0)
+
+
+# x/q on both sides of HYP0F1_SERIES_MAX, so both 0F1 routes are covered
+MEAN_ARGS = (0.0, 1e-3, 1.0, 1e4, 1e9, 1e12)
+
+
+@pytest.mark.parametrize("ladder", [
+    nonlinear(0.07).ladder, nonlinear(2.0).ladder, expmass(0.5).ladder, expmass(2.0).ladder,
+], ids=["quadratic-q0.07", "quadratic-q2", "linear-mu0.5", "linear-mu2"])
+def test_mean_is_first_moment_bit_for_bit(ladder):
+    for w in MEAN_ARGS:
+        x = w * getattr(ladder, "q", 1.0)
+        assert ladder.mean(x) == ladder.moments(x)[0], w
+
+
+def _match_over_moments(spec, target):
+    """match_mean_abs_z as it was when the gap summed all three 0F1 series."""
+    def gap(abs_z):
+        return spec.ladder.moments(abs_z**2 / spec.label_scale**2)[0] - target
+
+    lo, hi = 1e-9, 2.0 * spec.label_scale * math.sqrt(target) + 1.0
+    while gap(hi) < 0:
+        hi *= 2.0
+    return float(brentq(gap, lo, hi, xtol=1e-13, rtol=1e-14))
+
+
+@pytest.mark.parametrize("spec", [
+    nonlinear(0.07), nonlinear(0.17), nonlinear(0.27), nonlinear(2.0), expmass(0.5), expmass(2.0),
+], ids=["q0.07", "q0.17", "q0.27", "q2", "exp-mu0.5", "exp-mu2"])
+def test_match_mean_equals_match_over_moments(spec):
+    for target in (1.0, 2.0, 20.0, 1e4):
+        assert stats.match_mean_abs_z(spec, target) == _match_over_moments(spec, target), target
 
 
 def test_summary_for_convenience():
