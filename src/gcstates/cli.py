@@ -184,18 +184,25 @@ def cmd_fig1(args) -> int:
     harmonic = models.harmonic_limit(
         models.make_model("nonlinear-osc", alpha=args.alpha, nonlinearity=0.1)
     )
-    rows = []
 
-    def add_panel(panel, spec, z_abs, lam):
+    def p_n(spec, z_abs):
         c = coherent_mod.coeffs_on(coherent_mod.construct(spec, z_abs), 0, args.nmax + 1)
-        rows.extend((panel, lam, n, float(abs(c[n]) ** 2)) for n in range(args.nmax + 1))
+        return (c.real**2 + c.imag**2).tolist()
 
-    add_panel("harmonic", harmonic, math.sqrt(target), None)
+    panels = [("harmonic", None, p_n(harmonic, math.sqrt(target)))]
     for lam in args.lambda_primes:
         spec = models.make_model("nonlinear-osc", alpha=args.alpha, nonlinearity=lam)
-        z_abs = stats.match_mean_abs_z(spec, target)
-        add_panel("nonlinear", spec, z_abs, lam)
-    _write(args, ("panel", "lambda_prime", "n", "P_n"), rows)
+        panels.append(("nonlinear", lam, p_n(spec, stats.match_mean_abs_z(spec, target))))
+    header = ("panel", "lambda_prime", "n", "P_n")
+    if args.format == "json":
+        _write(args, header, [(pn, lam, n, p) for pn, lam, ps in panels for n, p in enumerate(ps)])
+        return 0
+    # the CSV of _write, with each panel's prefix formatted once
+    lines = [",".join(header)]
+    for panel, lam, ps in panels:
+        prefix = f"{panel},{_fmt(lam)},"
+        lines += [prefix + "%.15g,%.15g" % row for row in enumerate(ps)]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -22,7 +22,7 @@ Ladder families
 
 Each family owns its closed forms (steps, energies, remainders, ln rho_n,
 ln N at |zeta|^2 and at the overlap's complex conj(zeta_a) zeta_b, the
-number moments and the measure weight); ``ModelSpec.ladder`` resolves a
+number mean and variance and the measure weight); ``ModelSpec.ladder`` resolves a
 spec's family once.  Model-level sequences, with ``unit`` the model's
 natural energy quantum:
 
@@ -86,6 +86,9 @@ __all__ = [
 
 MODEL_IDS = ("nonlinear-osc", "bounded-osc", "exp-mass")
 
+#: deepest mode QuadraticLadder.mean_var sums around, as deep as construct goes
+MOMENT_MODE_MAX = 1e8
+
 
 @dataclass(frozen=True)
 class QuadraticLadder:
@@ -128,20 +131,32 @@ class QuadraticLadder:
         """ln N(w) = ln 0F1(; b; w/q); complex unless w is real and w >= 0."""
         return hyp0f1(self.b, w / self.q).value
 
-    def mean(self, x: float, f0: float | None = None) -> float:
-        """<n> alone, bit for bit moments(x)[0]; f0 is ln 0F1(b; x/q) if known."""
-        q, b = self.q, self.b
-        f0 = hyp0f1(b, x / q).value if f0 is None else f0
-        return x / (1.0 + 2.0 * q) * math.exp(hyp0f1(b + 1.0, x / q).value - f0)
+    def mean_var(self, x: float) -> tuple[float, float]:
+        """(<n>, var n) of P_n ~ t_n = w^n / ((b)_n n!), w = x/q, in one array pass.
+
+        The window reaches 9 sqrt(n* + 1) + 30 terms each side of the mode
+        n*, where the tails, no heavier than a Poisson's with its mode at n*,
+        are below about 1e-17 of the total.  The weights are running products
+        of t_{n+1}/t_n and the variance is centred.  Modes past
+        MOMENT_MODE_MAX raise ValueError.
+        """
+        b, w = self.b, x / self.q
+        mode = 2.0 * w / (b - 1.0 + math.sqrt((b - 1.0) ** 2 + 4.0 * w))
+        if not mode <= MOMENT_MODE_MAX:
+            raise ValueError(f"x = {x:g} puts the moment window's mode past n = "
+                             f"{MOMENT_MODE_MAX:g}")
+        half = int(9.0 * math.sqrt(mode + 1.0)) + 30
+        n = np.arange(max(int(mode) - half, 0), int(mode) + half + 1, dtype=float)
+        p = np.cumprod(np.concatenate(([1.0], w / ((b + n[:-1]) * (n[:-1] + 1.0)))))
+        total = p.sum()
+        mean = float(n @ p) / total
+        d = n - mean
+        return mean, float((d * d) @ p) / total
 
     def moments(self, x: float) -> tuple[float, float]:
-        """(<n>, <n^2>) as ratios of neighboring 0F1 values."""
-        q, b = self.q, self.b
-        f0 = hyp0f1(b, x / q).value
-        mean = self.mean(x, f0)
-        f2 = hyp0f1(b + 2.0, x / q).value
-        second = mean + x**2 / ((1.0 + 2.0 * q) * (1.0 + 3.0 * q)) * math.exp(f2 - f0)
-        return mean, second
+        """(<n>, <n^2>) from mean_var."""
+        mean, var = self.mean_var(x)
+        return mean, var + mean**2
 
     def weight_log(self, xi):
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
@@ -181,8 +196,8 @@ class LinearLadder:
     def norm_log(self, w):
         return w
 
-    def mean(self, x: float) -> float:
-        return x
+    def mean_var(self, x: float) -> tuple[float, float]:
+        return x, x
 
     def moments(self, x: float) -> tuple[float, float]:
         return x, x + x**2

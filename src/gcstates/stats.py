@@ -2,15 +2,17 @@
 
 The number distribution P_n = |c_n|^2 determines everything here.  The
 series route (direct sums over the truncated distribution) is the ground
-truth; the closed-form route evaluates the ladder family's analytic
-expressions, which for the quadratic ladder of the singular-mass
-oscillators are ratios of neighboring 0F1 values:
+truth; the closed-form route sums the ladder family's normalizer.  For the
+quadratic ladder of the singular-mass oscillators P_n is proportional to
+the terms t_n = w^n / ((b)_n n!) of N = 0F1(; b; w), b = 2 + 1/q, w = |z|^2/q:
 
-    <n>   = x/(1+2q)           * 0F1(b+1; x/q) / 0F1(b; x/q)
-    <n^2> = <n> + x^2/((1+2q)(1+3q)) * 0F1(b+2; x/q) / 0F1(b; x/q)
+    <n> = sum n t_n / sum t_n = w 0F1(b+1; w) / (b 0F1(b; w)),
+    var = sum (n - <n>)^2 t_n / sum t_n,
 
-with b = 2 + 1/q and x = |z|^2.  The linear ladder is exactly Poissonian:
-mean (|z|/mu)^2 for exp-mass, |z|^2 for the constant-mass reference.
+one centred pass over the terms around their mode.  The linear ladder is
+exactly Poissonian: mean = var = (|z|/mu)^2 for exp-mass, |z|^2 for the
+constant-mass reference.  ``match_mean_abs_z`` inverts <n> by Newton's
+method in ln |z|^2, with the exact slope d ln<n>/d ln |z|^2 = var/<n>.
 
 The Mandel parameter Q = (var - mean)/mean classifies a state below, at, or
 above Poissonian counting statistics.  The round-off in a series Q grows
@@ -20,12 +22,13 @@ with the mean, so the classification band is Q_TOL * max(1, <n>).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .coherent import CoherentState, construct
+from .exceptions import ConvergenceError
 from .models import ModelSpec
 
 __all__ = [
@@ -100,43 +103,58 @@ def summary_series(state: CoherentState) -> StatsSummary:
     return _summary(state, mean, variance + mean**2, variance, "series")
 
 
-def _closed_moments(spec: ModelSpec, abs_z_sq: float) -> tuple[float, float]:
-    """Closed-form (mean, second moment) pair in the number operator."""
-    return spec.ladder.moments(abs_z_sq / spec.label_scale**2)
+def _closed_mean_var(spec: ModelSpec, abs_z: float) -> tuple[float, float]:
+    """Closed-form (mean, variance) pair in the number operator."""
+    return spec.ladder.mean_var(abs_z**2 / spec.label_scale**2)
 
 
 def summary_closed(state: CoherentState) -> StatsSummary:
     """Mean, variance and Mandel Q from the model's closed forms."""
-    mean, second = _closed_moments(state.spec, abs(state.z) ** 2)
-    return _summary(state, mean, second, second - mean**2, "closed_form")
+    mean, variance = _closed_mean_var(state.spec, abs(state.z))
+    return _summary(state, mean, variance + mean**2, variance, "closed_form")
 
 
 def mandel_q_closed(spec: ModelSpec, abs_z: float) -> float:
     """Closed-form Mandel Q at label magnitude |z| without building a state."""
     if abs_z < 0:
         raise ValueError(f"abs_z must be nonnegative, got {abs_z}")
-    mean, second = _closed_moments(spec, abs_z**2)
-    return _mandel_q(mean, second - mean**2)
+    return _mandel_q(*_closed_mean_var(spec, abs_z))
+
+
+#: Newton steps match_mean_abs_z takes before it gives up
+MATCH_MAX_STEPS = 60
 
 
 def match_mean_abs_z(spec: ModelSpec, target_mean: float) -> float:
     """Label magnitude |z| at which the state's mean occupation hits a target.
 
-    The closed-form mean is strictly increasing in |z|, so a bracketed root
-    solve is enough.
+    Newton's method on ln <n> = ln target in u = ln x, x = (|z|/scale)^2,
+    slope var/<n>, from x = e_1 target where <n> <= target.  ln <n> is
+    concave in u (its slope 1 + Q falls), so the steps climb from below; a
+    step out of the bracket seen so far goes to the bracket's geometric
+    midpoint.  It stops on a step below 1e-9 in u and raises
+    ConvergenceError after MATCH_MAX_STEPS evaluations.
     """
-    if not target_mean > 0:
-        raise ValueError(f"target_mean must be positive, got {target_mean}")
-
-    def gap(abs_z):
-        return spec.ladder.mean(abs_z**2 / spec.label_scale**2) - target_mean
-
-    lo, hi = 1e-9, 2.0 * spec.label_scale * math.sqrt(target_mean) + 1.0
-    while gap(hi) < 0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError("mean matching failed to bracket the target")
-    return float(brentq(gap, lo, hi, xtol=1e-13, rtol=1e-14))
+    if not sys.float_info.min <= target_mean < math.inf:
+        raise ValueError(f"target_mean must be a positive normal float, got {target_mean}")
+    lo, hi = 0.0, math.inf  # x below and above the root
+    x = target_mean * spec.ladder.step(1)
+    for _ in range(MATCH_MAX_STEPS):
+        mean, var = spec.ladder.mean_var(x)
+        gap = math.log(mean / target_mean)
+        if gap < 0:
+            lo = x
+        elif gap > 0:
+            hi = x
+        step = gap * mean / var
+        if abs(step) < 1e-9:
+            return spec.label_scale * math.sqrt(x * math.exp(-step))
+        x = x * math.exp(-step)
+        if not lo < x < hi:
+            x = math.sqrt(lo) * math.sqrt(hi)
+    raise ConvergenceError(
+        f"mean matching for target {target_mean:g} did not settle in {MATCH_MAX_STEPS} steps"
+    )
 
 
 def summary_for(spec: ModelSpec, z: complex, eps: float = 1e-12) -> StatsSummary:

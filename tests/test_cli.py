@@ -41,9 +41,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # verify_corrupt_moments re-captured when ln K_nu moved to Amos's kve, and
 # moments and verify_corrupt_moments again when the moment check became one
 # fixed-grid trapezoid sum, and coherent, stats, fig1 and verify_annihilation
-# when coherent states moved onto a window around their peak, and stats when
-# the series variance became a centred sum (each time only round-off digits
-# moved)
+# when coherent states moved onto a window around their peak, stats when
+# the series variance became a centred sum, and fig1 when the mean match
+# became Newton's method, whose roots differ from brentq's by one ulp (each
+# time only round-off digits moved)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -168,6 +169,33 @@ def test_fig1_long_format(capsys):
     panels = {line.split(",")[0] for line in lines[1:]}
     assert panels == {"harmonic", "nonlinear"}
     assert len(lines) == 1 + 2 * 6
+
+
+@pytest.mark.parametrize("args", [
+    ["fig1", "--zsq", "1e-300"],
+    ["fig1", "--lambda-primes", "1e300", "--nmax", "2"],
+])
+def test_fig1_extreme_targets_exit_zero(args, capsys):
+    # the matched |z| lies far outside any fixed bracket: 1e-150 and 1e150
+    code, out = run(args, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    nmax = int(args[-1]) if "--nmax" in args else 30
+    assert len(rows) == (nmax + 1) * (2 if "--lambda-primes" in args else 4)
+    assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
+
+
+def test_fig1_json_carries_the_csv_values(capsys):
+    args = ["fig1", "--zsq", "3.7", "--nmax", "12", "--lambda-primes", "0.07", "2"]
+    code, text = run(args, capsys)
+    assert code == 0
+    csv_rows = [tuple(line.split(",")) for line in text.splitlines()[1:]]
+    code, text = run(args + ["--format", "json"], capsys)
+    assert code == 0
+    json_rows = [(r["panel"], r["lambda_prime"], r["n"], r["P_n"]) for r in json.loads(text)]
+    assert len(json_rows) == len(csv_rows) == 3 * 13
+    for (panel, lam, n, p), row in zip(json_rows, csv_rows):
+        assert row == (panel, "" if lam is None else "%.15g" % lam, str(n), "%.15g" % p)
 
 
 def test_moments_pass_and_exit_zero(capsys):
@@ -355,6 +383,8 @@ def test_out_writes_file(tmp_path, capsys):
         # sweeps whose label count is infinite or past SWEEP_MAX_LABELS
         ["stats", "--z-sweep", "0", "1e308", "1e-308"],
         ["stats", "--z-sweep", "0", "1e12", "1"],
+        # a subnormal target mean
+        ["fig1", "--zsq", "1e-310"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):

@@ -52,6 +52,8 @@ def test_coherent_state_cross_checks(label):
     series, closed = stats.summary_series(state), stats.summary_closed(state)
     assert abs(series.mean - closed.mean) <= 1e-10 * closed.mean
     assert abs(series.second_moment - closed.second_moment) <= 1e-10 * closed.second_moment
+    assert abs(series.variance - closed.variance) <= 1e-10 * closed.variance
+    assert abs(series.mandel_q - closed.mandel_q) <= 1e-10 * max(1.0, abs(closed.mandel_q))
 
     other = coherent.construct(spec, z + 0.5 * spec.label_scale, eps=EPS)
     assert abs(coherent.overlap(state, other)) <= 1.0 + 1e-12  # raises on a split

@@ -1,10 +1,10 @@
 """Occupation statistics: means, variances, Mandel classification."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from gcstates import coherent, models, stats
 
@@ -136,7 +136,7 @@ def test_match_mean_large_target():
     b, x = 2.0 + 1.0 / q, z_abs**2
     with mpmath.workdps(30):
         mean = x / (q * b) * mpmath.hyp0f1(b + 1, x / q) / mpmath.hyp0f1(b, x / q)
-    assert float(mean) == pytest.approx(1e6, rel=1e-10)
+    assert float(mean) == pytest.approx(1e6, rel=1e-13)
 
 
 def test_match_mean_rejects_nonpositive():
@@ -154,26 +154,87 @@ MEAN_ARGS = (0.0, 1e-3, 1.0, 1e4, 1e9, 1e12)
 def test_mean_is_first_moment_bit_for_bit(ladder):
     for w in MEAN_ARGS:
         x = w * getattr(ladder, "q", 1.0)
-        assert ladder.mean(x) == ladder.moments(x)[0], w
+        assert ladder.moments(x)[0] == ladder.mean_var(x)[0], w
 
 
-def _match_over_moments(spec, target):
-    """match_mean_abs_z as it was when the gap summed all three 0F1 series."""
-    def gap(abs_z):
-        return spec.ladder.moments(abs_z**2 / spec.label_scale**2)[0] - target
-
-    lo, hi = 1e-9, 2.0 * spec.label_scale * math.sqrt(target) + 1.0
-    while gap(hi) < 0:
-        hi *= 2.0
-    return float(brentq(gap, lo, hi, xtol=1e-13, rtol=1e-14))
+def _mean_mp(spec, abs_z):
+    """<n> at label magnitude |z| in 40-digit arithmetic, x N'(x)/N(x)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpf(abs_z) ** 2
+        if spec.id == "exp-mass":
+            return float(x / mpmath.mpf(spec.label_scale) ** 2)
+        q = mpmath.mpf(spec.nonlinearity)
+        b = 2 + 1 / q
+        return float(x / (q * b) * mpmath.hyp0f1(b + 1, x / q) / mpmath.hyp0f1(b, x / q))
 
 
 @pytest.mark.parametrize("spec", [
-    nonlinear(0.07), nonlinear(0.17), nonlinear(0.27), nonlinear(2.0), expmass(0.5), expmass(2.0),
-], ids=["q0.07", "q0.17", "q0.27", "q2", "exp-mu0.5", "exp-mu2"])
-def test_match_mean_equals_match_over_moments(spec):
-    for target in (1.0, 2.0, 20.0, 1e4):
-        assert stats.match_mean_abs_z(spec, target) == _match_over_moments(spec, target), target
+    nonlinear(0.02), nonlinear(0.07), nonlinear(0.17), nonlinear(0.27), nonlinear(2.0),
+    expmass(0.5), expmass(2.0),
+], ids=["q0.02", "q0.07", "q0.17", "q0.27", "q2", "exp-mu0.5", "exp-mu2"])
+def test_match_mean_hits_target_mpmath(spec):
+    for target in (1e-300, 1.0, 2.0, 20.0, 1e4, 1e6):
+        z_abs = stats.match_mean_abs_z(spec, target)
+        assert _mean_mp(spec, z_abs) == pytest.approx(target, rel=1e-13), target
+
+
+@pytest.mark.parametrize("q", [0.07, 0.17, 0.27])
+def test_match_mean_takes_few_steps(q, monkeypatch):
+    # fig1's range; a bracketing solve would need about ten evaluations
+    calls = []
+    mean_var = models.QuadraticLadder.mean_var
+    monkeypatch.setattr(models.QuadraticLadder, "mean_var",
+                        lambda self, x: calls.append(x) or mean_var(self, x))
+    for target in np.linspace(1.0, 20.0, 39):
+        calls.clear()
+        stats.match_mean_abs_z(nonlinear(q), float(target))
+        assert 1 <= len(calls) <= 8, (target, len(calls))
+
+
+def _mean_var_mp(q, w):
+    """(<n>, var) of t_n = w^n / ((b)_n n!) from 0F1 ratios in 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q, w = mpmath.mpf(q), mpmath.mpf(w)
+        b = 2 + 1 / q
+        f0 = mpmath.hyp0f1(b, w)
+        mean = w / b * mpmath.hyp0f1(b + 1, w) / f0
+        falling = w**2 / (b * (b + 1)) * mpmath.hyp0f1(b + 2, w) / f0
+        return float(mean), float(falling + mean - mean**2)
+
+
+@pytest.mark.parametrize("q", [0.07, 0.1, 2.0])
+@pytest.mark.parametrize("w", [1e2, 1e7, 1e9, 1e12])
+def test_closed_mean_var_mpmath(q, w):
+    mean, var = nonlinear(q).ladder.mean_var(w * q)
+    ref_mean, ref_var = _mean_var_mp(q, w)
+    assert mean == pytest.approx(ref_mean, rel=1e-14)
+    assert var == pytest.approx(ref_var, rel=1e-12)
+
+
+class _ArctanLadder:
+    """ln <n> = arctan(ln x - 5): Newton alone diverges from x = 1."""
+
+    def step(self, n):
+        return 1.0
+
+    def mean_var(self, x):
+        u = math.log(x) - 5.0
+        mean = math.exp(math.atan(u))
+        return mean, mean / (1.0 + u * u)
+
+
+def test_match_mean_bisects_when_a_step_leaves_the_bracket():
+    spec = SimpleNamespace(ladder=_ArctanLadder(), label_scale=1.0)
+    assert stats.match_mean_abs_z(spec, 1.0) == pytest.approx(math.exp(2.5), rel=1e-14)
+
+
+@pytest.mark.parametrize("target", [1e16, 1e200])
+def test_match_mean_refuses_unreachable_target(target):
+    # the matched mode would lie past MOMENT_MODE_MAX, or x past the doubles
+    with pytest.raises(ValueError):
+        stats.match_mean_abs_z(nonlinear(2.0), target)
 
 
 def test_summary_for_convenience():
