@@ -376,7 +376,7 @@ def rho_log(spec: ModelSpec, n: int) -> float:
     n = _check_n(n)
     if n == 0:
         return 0.0
-    product = math.fsum(math.log(step(spec, k)) for k in range(1, n + 1))
+    product = math.fsum(map(math.log, step(spec, np.arange(1, n + 1)).tolist()))
     # closed Gamma form of the step product; bias enters as n ln(1 + bias)
     closed = spec.ladder.rho_log(n)
     if spec.step_bias:

@@ -7,6 +7,12 @@ the one driver: it loops over the models, turns a numerical error raised in
 a probe into a fail row (an internal invariant tripping is a finding, not a
 crash), and computes each family's status and worst value.  The library is
 called through module attributes, so wrapping one of them covers these calls.
+
+The spectrum family makes one grid solve per distinct Hamiltonian per run:
+models whose ``oracle.build_problem`` keys agree (nonlinear-osc and
+bounded-osc at one q are the same problem in the oracle's coordinate) share
+the levels of that run's solve, and each model is compared with its own
+analytic spectrum.  Nothing is kept from one run to the next.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ _CHECK_ERRORS = (ConsistencyError, ConvergenceError, QuadratureError, ValueError
 IDENTITY_TOL = 1e-12  # telescoping and step-energy gaps, in energy units
 OPERATOR_TOL = 1e-10  # commutator diagonal and raising reconstruction
 RESIDUAL_TOL = 1e-10  # annihilation residual
-LEVEL_TOL = 0.01  # relative level error against the finite-difference oracle
+LEVEL_TOL = oracle.LEVEL_TOL  # relative level error against the finite-difference oracle
+LEVELS = 4  # levels the spectrum family compares
 
 
 def default_specs(corrupt: bool = False) -> list[models.ModelSpec]:
@@ -113,13 +120,21 @@ def _moments(spec, nmax):
         yield f"moment n={rep.n}", rep.rel_error, cut, rep.passed
 
 
-def _levels(spec, points):
-    for comp in oracle.compare_spectrum(spec, k=4, points=points):
+def _levels(spec, points, solves):
+    problem = oracle.build_problem(spec, points=points)
+    if problem.key not in solves:
+        solves[problem.key] = oracle.lowest_eigenvalues(problem, LEVELS)
+    for comp in oracle.compare_levels(spec, solves[problem.key]):
         yield f"level n={comp.n}", comp.rel_error, LEVEL_TOL, comp.rel_error < LEVEL_TOL
 
 
 def _table(nmax: int, points: int) -> dict:
-    """Family -> (check_name, [(item naming the probe's fail row, probe)])."""
+    """Family -> (check_name, [(item naming the probe's fail row, probe)]).
+
+    The spectrum probe keeps its grid solves, by problem key, in this
+    table's own dict, so they last one run.
+    """
+    solves = {}
     return {
         "algebra": ("spectral_algebra", [
             ("ladder identities", _identities),
@@ -134,7 +149,8 @@ def _table(nmax: int, points: int) -> dict:
             ("moment quadrature", functools.partial(_moments, nmax=nmax)),
         ]),
         "spectrum": ("spectrum", [
-            ("finite-difference solve", functools.partial(_levels, points=points)),
+            ("finite-difference solve",
+             functools.partial(_levels, points=points, solves=solves)),
         ]),
     }
 
@@ -151,8 +167,8 @@ def run(only=None, corrupt: bool = False, nmax: int = 8, points: int = 2000) -> 
         raise ValueError(f"unknown verify families: {', '.join(sorted(unknown))}")
     if nmax != int(nmax) or not 0 <= nmax <= 12:
         raise ValueError(f"nmax must be an integer in 0..12, got {nmax}")
-    if points != int(points) or points < 3:
-        raise ValueError(f"points must be an integer >= 3, got {points}")
+    if points != int(points) or points < LEVELS:
+        raise ValueError(f"points must be an integer >= {LEVELS}, got {points}")
     specs = default_specs(corrupt)
     report = []
     for family, (check_name, probes) in _table(nmax, points).items():

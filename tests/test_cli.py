@@ -44,7 +44,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # when coherent states moved onto a window around their peak, stats when
 # the series variance became a centred sum, and fig1 when the mean match
 # became Newton's method, whose roots differ from brentq's by one ulp (each
-# time only round-off digits moved)
+# time only round-off digits moved), and oracle and verify_spectrum when the
+# oscillator levels came from the even and odd half blocks (their E_numeric,
+# and the rel_error or value derived from it, moved by under 2 eps ||T||_1);
+# verify_all was captured after that change
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -57,6 +60,7 @@ GOLDEN_CASES = [
     ("verify_spectrum", ["verify", "--only", "spectrum", "--points", "500"], 0),
     ("verify_corrupt_moments",
      ["verify", "--corrupt-steps", "--only", "moments", "--nmax", "2"], 1),
+    ("verify_all", ["verify"], 0),
 ]
 
 
@@ -242,7 +246,7 @@ def test_verify_turns_a_raising_probe_into_fail_rows(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise QuadratureError("injected failure")
 
-    monkeypatch.setattr("gcstates.oracle.compare_spectrum", broken)
+    monkeypatch.setattr("gcstates.oracle.lowest_eigenvalues", broken)
     code, out = run(["verify", "--only", "spectrum"], capsys)
     assert code == 1
     report = json.loads(out)
@@ -385,6 +389,13 @@ def test_out_writes_file(tmp_path, capsys):
         ["stats", "--z-sweep", "0", "1e12", "1"],
         # a subnormal target mean
         ["fig1", "--zsq", "1e-310"],
+        # the spectrum family compares 4 levels
+        ["verify", "--only", "spectrum", "--points", "3"],
+        # the bisection cannot resolve the exp-mass grid this close to alpha = 1
+        ["oracle", "--model", "exp-mass", "--alpha", "1.00003", "--points", "200"],
+        ["oracle", "--model", "exp-mass", "--alpha", "1.0001", "--points", "200"],
+        ["oracle", "--model", "exp-mass", "--alpha", "1.001"],
+        ["oracle", "--model", "exp-mass", "--alpha", "1.05"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):

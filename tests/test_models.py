@@ -207,6 +207,16 @@ def test_rho_product_vs_closed_to_n200(spec):
         assert models.rho_log(spec, n) == pytest.approx(acc, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("bias", [0.0, 0.01])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.id + str(s.nonlinearity or s.mu))
+def test_rho_log_equals_the_scalar_step_sum_bit_for_bit(spec, bias):
+    # rho_log takes one array call of step; the scalar loop is the reference
+    spec = dataclasses.replace(spec, step_bias=bias)
+    for n in (1, 2, 10, 199, 200, 299, 1000):
+        loop = math.fsum(math.log(models.step(spec, k)) for k in range(1, n + 1))
+        assert models.rho_log(spec, n) == loop
+
+
 @pytest.mark.parametrize("q", [0.05, 0.07, 0.17, 0.27, 1.0])
 def test_rho_gamma_form_vs_step_product(q):
     # ln[n! q^n (2+1/q)_n] against the bare ladder product, deep range

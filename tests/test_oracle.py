@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from gcstates import models, oracle
 
@@ -112,3 +113,84 @@ def test_oscillator_domain_stops_at_mass_singularity():
     wall = 1.0 / math.sqrt(2.0 * 0.27)
     assert prob.lo > -wall
     assert prob.hi < wall
+
+
+# ------------------------------------------------- parity split, resolution
+
+HARMONIC = models.harmonic_limit(nonlinear(0.1))
+
+
+@pytest.mark.parametrize("points", [3, 4, 7, 500, 2000, 2001])
+@pytest.mark.parametrize(
+    "spec", [nonlinear(1e-3), nonlinear(0.1), nonlinear(0.27), nonlinear(1.0), HARMONIC],
+    ids=["q=1e-3", "q=0.1", "q=0.27", "q=1", "harmonic"],
+)
+def test_parity_split_matches_the_full_solve(spec, points):
+    prob = oracle.build_problem(spec, points=points)
+    assert prob.symmetric
+    assert np.array_equal(prob.diag, prob.diag[::-1])
+    assert np.array_equal(prob.offdiag, prob.offdiag[::-1])
+    for k in range(1, min(5, points) + 1):
+        split = oracle.lowest_eigenvalues(prob, k) / prob.energy_scale
+        full = eigh_tridiagonal(
+            prob.diag, prob.offdiag, select="i", select_range=(0, k - 1), eigvals_only=True
+        )
+        assert np.max(np.abs(split - full)) <= 2.0 * prob.resolution
+
+
+def _sturm_count(diag, offdiag, lam):
+    """Eigenvalues of the tridiagonal matrix below lam (LDL^T pivot signs)."""
+    count, piv = 0, diag[0] - lam
+    for d, e in zip(diag[1:], offdiag):
+        count += piv < 0
+        piv = d - lam - e * e / piv
+    return count + (piv < 0)
+
+
+def test_parity_levels_against_an_mpmath_sturm_count():
+    mpmath = pytest.importorskip("mpmath")
+    prob = oracle.build_problem(nonlinear(0.1), points=500)
+    split = oracle.lowest_eigenvalues(prob, 4) / prob.energy_scale
+    with mpmath.workdps(40):
+        diag = [mpmath.mpf(float(x)) for x in prob.diag]
+        offdiag = [mpmath.mpf(float(x)) for x in prob.offdiag]
+        for j, level in enumerate(split):
+            lo = mpmath.mpf(float(level)) - 4 * prob.resolution
+            hi = mpmath.mpf(float(level)) + 4 * prob.resolution
+            assert _sturm_count(diag, offdiag, lo) == j
+            assert _sturm_count(diag, offdiag, hi) == j + 1
+            while hi - lo > 1e-3 * prob.resolution:
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if _sturm_count(diag, offdiag, mid) <= j else (lo, mid)
+            assert abs(float(level) - float(lo)) <= prob.resolution
+
+
+def test_oscillators_share_one_problem_key():
+    a = oracle.build_problem(models.make_model("bounded-osc", nonlinearity=0.1), points=50)
+    b = oracle.build_problem(nonlinear(0.1), points=50)
+    assert a.key == b.key
+    assert a.key != oracle.build_problem(nonlinear(0.1), points=51).key
+    assert a.key != oracle.build_problem(nonlinear(0.1, alpha=2.0), points=50).key
+    assert a.key != oracle.build_problem(HARMONIC, points=50).key
+
+
+def test_expmass_is_solved_whole():
+    prob = oracle.build_problem(models.make_model("exp-mass", alpha=2.0, mu=1.0), points=200)
+    assert not prob.symmetric
+    full = eigh_tridiagonal(
+        prob.diag, prob.offdiag, select="i", select_range=(0, 3), eigvals_only=True
+    )
+    assert np.array_equal(oracle.lowest_eigenvalues(prob, 4), full * prob.energy_scale)
+
+
+@pytest.mark.parametrize("alpha, points", [(1.00003, 200), (1.001, 2000), (1.05, 2000)])
+def test_unresolvable_expmass_grid_is_refused(alpha, points):
+    spec = models.make_model("exp-mass", alpha=alpha, mu=1.0)
+    with pytest.raises(ValueError, match=rf"alpha={alpha!r}: .*resolution"):
+        oracle.build_problem(spec, points=points)
+
+
+def test_expmass_near_one_within_resolution_is_accepted():
+    prob = oracle.build_problem(models.make_model("exp-mass", alpha=1.1, mu=1.0), points=2000)
+    assert prob.resolution < oracle.LEVEL_TOL
+    assert np.all(np.isfinite(oracle.lowest_eigenvalues(prob, 4)))
