@@ -197,11 +197,13 @@ def cmd_fig1(args) -> int:
     if args.format == "json":
         _write(args, header, [(pn, lam, n, p) for pn, lam, ps in panels for n, p in enumerate(ps)])
         return 0
-    # the CSV of _write, with each panel's prefix formatted once
+    # the CSV of _write, with each panel's prefix formatted once and each
+    # P_n = 0 outside a state's window written as the "0" %.15g gives
     lines = [",".join(header)]
     for panel, lam, ps in panels:
         prefix = f"{panel},{_fmt(lam)},"
-        lines += [prefix + "%.15g,%.15g" % row for row in enumerate(ps)]
+        lines += [f"{prefix}{n},0" if p == 0.0 else prefix + "%.15g,%.15g" % (n, p)
+                  for n, p in enumerate(ps)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -10,6 +10,10 @@ Hamiltonian is diagonal with the absolute energies.
 The last row and column are the truncation edge: identities that involve
 raising out of the retained space (the commutator diagonal, for instance)
 hold only on the interior indices 0..dim-2.
+
+Eigenstates are rebuilt from the ground state by a single chain of raisings:
+``states_by_raising(ops, n_max)`` applies L+ n_max times and keeps every
+intermediate state, so states 0..n_max cost n_max mat-vecs in all.
 """
 
 from __future__ import annotations
@@ -22,7 +26,13 @@ import numpy as np
 from . import models
 from .models import ModelSpec
 
-__all__ = ["TruncatedOperators", "build", "commutator_diagonal", "eigenstate_by_raising"]
+__all__ = [
+    "TruncatedOperators",
+    "build",
+    "commutator_diagonal",
+    "states_by_raising",
+    "eigenstate_by_raising",
+]
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,7 @@ def build(spec: ModelSpec, dim: int) -> TruncatedOperators:
     e = models.step(spec, np.arange(dim))
     lowering = np.diag(np.sqrt(e[1:]), k=1)
     raising = lowering.T.copy()
-    hamiltonian = np.diag([models.energy(spec, n) for n in range(dim)])
+    hamiltonian = np.diag(models.energy(spec, np.arange(dim)))
     for a in (lowering, raising, hamiltonian):
         a.setflags(write=False)
     return TruncatedOperators(spec, dim, lowering, raising, hamiltonian)
@@ -66,26 +76,34 @@ def commutator_diagonal(ops: TruncatedOperators) -> np.ndarray:
     return np.diag(comm)[: ops.dim - 1].copy()
 
 
-def eigenstate_by_raising(ops: TruncatedOperators, n: int) -> np.ndarray:
-    """Unit vector of eigenstate n built as L+^n acting on the ground state.
+def states_by_raising(ops: TruncatedOperators, n_max: int) -> np.ndarray:
+    """Rows 0..n_max: unit vector of eigenstate n as L+^n acting on the ground state.
 
-    Repeated raising is renormalized at every application and the
-    accumulated product of norms is checked against sqrt(rho_n), so the
-    result both reproduces basis vector n and validates the generalized
-    factorial.
+    One chain of n_max raisings builds every row: each application is
+    renormalized, and the running product of norms up to n is checked
+    against sqrt(rho_n), so row n both reproduces basis vector n and
+    validates the generalized factorial.
     """
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
-    if n >= ops.dim:
-        raise ValueError(f"n = {n} is outside the truncated space (dim {ops.dim})")
+    if n_max != int(n_max) or n_max < 0:
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max}")
+    n_max = int(n_max)
+    if n_max >= ops.dim:
+        raise ValueError(f"n_max = {n_max} is outside the truncated space (dim {ops.dim})")
+    out = np.empty((n_max + 1, ops.dim))
     v = np.zeros(ops.dim)
     v[0] = 1.0
+    out[0] = v
     log_norms = 0.0
-    for _ in range(n):
+    for n in range(1, n_max + 1):
         v = ops.raising @ v
         s = float(np.linalg.norm(v))
         v /= s
         log_norms += math.log(s)
-    # L+^n ground = sqrt(rho_n) eigenstate_n, so the residual factor is ~1
-    return v * math.exp(log_norms - 0.5 * models.rho_log(ops.spec, n))
+        # L+^n ground = sqrt(rho_n) eigenstate_n, so the residual factor is ~1
+        out[n] = v * math.exp(log_norms - 0.5 * models.rho_log(ops.spec, n))
+    return out
+
+
+def eigenstate_by_raising(ops: TruncatedOperators, n: int) -> np.ndarray:
+    """Row n of ``states_by_raising(ops, n)``: eigenstate n as L+^n ground."""
+    return states_by_raising(ops, n)[n]

@@ -30,10 +30,13 @@ natural energy quantum:
 * ``remainder(spec, k)`` shape-invariance increment E_k - E_{k-1}, k >= 1,
 * ``step(spec, n)``      dimensionless e_n = (E_n - E_0) / unit, the squared
                          ladder coefficient (L- maps state n to sqrt(e_n)
-                         times state n-1); n may be an index array,
+                         times state n-1),
 * ``rho_log(spec, n)``   ln rho_n with rho_n = e_1 e_2 ... e_n (rho_0 = 1),
                          the generalized factorial that normalizes coherent
                          states.
+
+The first three also take an integer index array n (or k) and give the
+array of values, equal to the scalar calls bit for bit.
 
 Built-in model ids
 ------------------
@@ -94,9 +97,9 @@ MOMENT_MODE_MAX = 1e8
 class QuadraticLadder:
     """Ladder of the two singular-mass oscillators, e_n = n (1 + q (n + 1)).
 
-    Closed forms take n as an int (step also as an index array), x = |zeta|^2
-    in step units, xi = |z|^2 > 0, and norm_log also a complex
-    w = conj(zeta_a) zeta_b.
+    Closed forms take n as an int (step, energy and remainder also as an
+    index array), x = |zeta|^2 in step units, xi = |z|^2 > 0, and norm_log
+    also a complex w = conj(zeta_a) zeta_b.
     """
 
     q: float
@@ -117,10 +120,10 @@ class QuadraticLadder:
     def step(self, n):
         return n * (1.0 + self.q * (n + 1))
 
-    def energy(self, n: int) -> float:
+    def energy(self, n):
         return self.unit * (n + 0.5 + self.q * n * (n + 1))
 
-    def remainder(self, k: int) -> float:
+    def remainder(self, k):
         return self.unit * (1.0 + 2.0 * k * self.q)
 
     def rho_log(self, n: int) -> float:
@@ -184,10 +187,12 @@ class LinearLadder:
     def step(self, n):
         return n * 1.0
 
-    def energy(self, n: int) -> float:
+    def energy(self, n):
         return self.unit * (n + self.ground)
 
-    def remainder(self, k: int) -> float:
+    def remainder(self, k):
+        if isinstance(k, np.ndarray):
+            return np.full(k.shape, self.unit)
         return self.unit
 
     def rho_log(self, n: int) -> float:
@@ -340,15 +345,18 @@ def _check_n(n, name: str = "n"):
     return int(n)
 
 
-def energy(spec: ModelSpec, n: int) -> float:
-    """Absolute eigenvalue E_n."""
+def energy(spec: ModelSpec, n):
+    """Absolute eigenvalue E_n; n is an int or an integer index array."""
     return spec.ladder.energy(_check_n(n))
 
 
-def remainder(spec: ModelSpec, k: int) -> float:
-    """Shape-invariance energy increment E_k - E_{k-1}, defined for k >= 1."""
+def remainder(spec: ModelSpec, k):
+    """Shape-invariance energy increment E_k - E_{k-1}, defined for k >= 1.
+
+    k is an int or an integer index array, every entry >= 1.
+    """
     k = _check_n(k, "k")
-    if k < 1:
+    if np.any(k < 1):
         raise ValueError(f"remainder is defined for k >= 1, got {k}")
     return spec.ladder.remainder(k)
 

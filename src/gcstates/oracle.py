@@ -37,6 +37,15 @@ not below LEVEL_TOL: the level comparisons could not tell a right spectrum
 from a wrong one.  That happens for exp-mass as alpha nears 1, where the
 right wall's 3/kappa extension makes e^y, and so ||T||_1, overflow.
 
+The singular oscillators' walls sit at zeta = +-1/sqrt(2q), so their grid
+spacing h = 2 (1 - pad) / (sqrt(2q) (M + 1)) grows as q shrinks while the
+low states keep a width of order one.  Past h = ZETA_STEP_MAX = 0.25 the
+levels are off by percents (at q = 1e-9, M = 2000, h is about 22 and E_0
+comes out near 62 against 0.5), so ``compare_spectrum`` and the verify
+spectrum family refuse such a grid with a ValueError (``require_fine_grid``)
+naming q, M and h.  At q = 1e-5, M = 2000 (h = 0.22) the four lowest levels
+are within 1.1%, and at q >= 1e-3, M >= 500 (h <= 0.089) within 0.18%.
+
 The oscillators and the harmonic reference have even p and v on a grid
 symmetric about 0, so their matrix splits exactly into an even and an odd
 block of half size.  For even M the half blocks start at d +- e_c, with e_c
@@ -68,6 +77,7 @@ __all__ = [
     "LevelComparison",
     "build_problem",
     "lowest_eigenvalues",
+    "require_fine_grid",
     "compare_levels",
     "compare_spectrum",
 ]
@@ -75,6 +85,10 @@ __all__ = [
 #: relative level error the spectrum checks allow; grids whose bisection
 #: cannot resolve levels this finely are refused
 LEVEL_TOL = 0.01
+
+#: widest zeta spacing at which a singular-oscillator grid's levels are
+#: compared with the analytic spectrum
+ZETA_STEP_MAX = 0.25
 
 
 @dataclass(frozen=True)
@@ -285,9 +299,29 @@ def compare_levels(spec: ModelSpec, numeric) -> list[LevelComparison]:
     return out
 
 
+def require_fine_grid(problem: GridEigenproblem) -> None:
+    """Refuse a singular-oscillator grid too coarse to resolve its low states.
+
+    The oscillator states spread over |zeta| of order one while the walls sit
+    at +-1/sqrt(2q), so at small q a fixed M leaves only a few nodes across
+    them.  A spacing h above ZETA_STEP_MAX raises ValueError naming q, M and
+    h.  The matrix itself stays well defined, so build_problem accepts it.
+    """
+    if problem.spec.id in ("nonlinear-osc", "bounded-osc") and not problem.h <= ZETA_STEP_MAX:
+        raise ValueError(
+            f"{problem.hamiltonian}, M={problem.points}: the grid's zeta spacing "
+            f"h = {problem.h:.2g} is above {ZETA_STEP_MAX}, too coarse to resolve "
+            f"the low states; raise M"
+        )
+
+
 def compare_spectrum(
     spec: ModelSpec, k: int = 4, points: int = 2000, pad: float = 1e-6
 ) -> list[LevelComparison]:
-    """Compare the k lowest grid eigenvalues against the analytic spectrum."""
+    """Compare the k lowest grid eigenvalues against the analytic spectrum.
+
+    A grid that require_fine_grid refuses raises ValueError.
+    """
     problem = build_problem(spec, points=points, pad=pad)
+    require_fine_grid(problem)
     return compare_levels(spec, lowest_eigenvalues(problem, k))

@@ -8,11 +8,17 @@ a probe into a fail row (an internal invariant tripping is a finding, not a
 crash), and computes each family's status and worst value.  The library is
 called through module attributes, so wrapping one of them covers these calls.
 
-The spectrum family makes one grid solve per distinct Hamiltonian per run:
-models whose ``oracle.build_problem`` keys agree (nonlinear-osc and
-bounded-osc at one q are the same problem in the oracle's coordinate) share
-the levels of that run's solve, and each model is compared with its own
-analytic spectrum.  Nothing is kept from one run to the next.
+Within one run no probe result is computed twice.  The algebra, annihilation and
+moment probes read a model only through ``spec.ladder``, so each runs once
+per distinct (ladder, step_bias): nonlinear-osc and bounded-osc at one q
+close the same ladder, and the second of them gets the first one's rows
+under its own model name.  A probe that raised is not shared; the next
+model with that key runs it again.  The spectrum family, whose oracle reads
+the model id, makes one grid solve per distinct Hamiltonian instead: models
+whose ``oracle.build_problem`` keys agree (the same two oscillators are one
+problem in the oracle's coordinate) share the levels of that run's solve,
+and each model is compared with its own analytic spectrum.  Nothing is kept
+from one run to the next.
 """
 
 from __future__ import annotations
@@ -72,17 +78,14 @@ def default_specs(corrupt: bool = False) -> list[models.ModelSpec]:
 
 def _identities(spec):
     unit = spec.energy_unit
-    gap = 0.0
-    for n in range(1, 61):
-        lhs = models.energy(spec, n) - models.energy(spec, n - 1)
-        gap = max(gap, abs(lhs - models.remainder(spec, n)) / unit)
+    energies = models.energy(spec, np.arange(61))
+    n = np.arange(1, 61)
+    gap = float(np.max(np.abs(np.diff(energies) - models.remainder(spec, n)) / unit))
     yield "telescoping", gap, IDENTITY_TOL, gap <= IDENTITY_TOL
 
-    gap = 0.0
-    for n in range(1, 61):
-        lhs = unit * models.step(spec, n)
-        rhs = models.energy(spec, n) - models.energy(spec, 0)
-        gap = max(gap, abs(lhs - rhs) / max(abs(rhs), unit))
+    rhs = energies[1:] - energies[0]
+    lhs = unit * models.step(spec, n)
+    gap = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), unit)))
     yield "step-energy identity", gap, IDENTITY_TOL, gap <= IDENTITY_TOL
 
 
@@ -99,12 +102,8 @@ def _operators(spec):
     gap = float(np.max(np.abs(comm - expect) / np.maximum(expect, 1.0)))
     yield "commutator diagonal", gap, OPERATOR_TOL, gap <= OPERATOR_TOL
 
-    gap = 0.0
-    for n in range(7):
-        v = fockrep.eigenstate_by_raising(ops, n)
-        e = np.zeros(40)
-        e[n] = 1.0
-        gap = max(gap, float(np.linalg.norm(v - e)))
+    states = fockrep.states_by_raising(ops, 6)
+    gap = max(float(np.linalg.norm(v - e)) for v, e in zip(states, np.eye(7, 40)))
     yield "raising reconstruction", gap, OPERATOR_TOL, gap <= OPERATOR_TOL
 
 
@@ -122,20 +121,45 @@ def _moments(spec, nmax):
 
 def _levels(spec, points, solves):
     problem = oracle.build_problem(spec, points=points)
+    oracle.require_fine_grid(problem)
     if problem.key not in solves:
         solves[problem.key] = oracle.lowest_eigenvalues(problem, LEVELS)
     for comp in oracle.compare_levels(spec, solves[problem.key]):
         yield f"level n={comp.n}", comp.rel_error, LEVEL_TOL, comp.rel_error < LEVEL_TOL
 
 
+def _per_ladder(probe):
+    """probe, run once per distinct (ladder, step_bias) of the models it sees.
+
+    The first model with a key runs the probe and its rows are kept for the
+    later ones.  A probe that raises keeps nothing: the next model with that
+    key runs it again, so each fail row names its own model.
+    """
+    rows = {}
+
+    def shared(spec):
+        key = (spec.ladder, spec.step_bias)
+        if key in rows:
+            yield from rows[key]
+            return
+        kept = []
+        for row in probe(spec):
+            kept.append(row)
+            yield row
+        rows[key] = kept
+
+    return shared
+
+
 def _table(nmax: int, points: int) -> dict:
     """Family -> (check_name, [(item naming the probe's fail row, probe)]).
 
-    The spectrum probe keeps its grid solves, by problem key, in this
-    table's own dict, so they last one run.
+    The algebra, annihilation and moment probes read a model only through
+    its ladder, so each runs once per distinct ladder and the spectrum probe
+    once per grid problem key.  The shared rows and solves live in this
+    table's own dicts, so they last one run.
     """
-    solves = {}
-    return {
+    ladder_only = {
         "algebra": ("spectral_algebra", [
             ("ladder identities", _identities),
             ("rho product vs closed form", _rho_product),
@@ -148,11 +172,15 @@ def _table(nmax: int, points: int) -> dict:
         "moments": ("moments", [
             ("moment quadrature", functools.partial(_moments, nmax=nmax)),
         ]),
-        "spectrum": ("spectrum", [
-            ("finite-difference solve",
-             functools.partial(_levels, points=points, solves=solves)),
-        ]),
     }
+    table = {
+        family: (check_name, [(item, _per_ladder(probe)) for item, probe in probes])
+        for family, (check_name, probes) in ladder_only.items()
+    }
+    table["spectrum"] = ("spectrum", [
+        ("finite-difference solve", functools.partial(_levels, points=points, solves={})),
+    ])
+    return table
 
 
 def run(only=None, corrupt: bool = False, nmax: int = 8, points: int = 2000) -> list[dict]:

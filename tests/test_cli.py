@@ -47,7 +47,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # time only round-off digits moved), and oracle and verify_spectrum when the
 # oscillator levels came from the even and odd half blocks (their E_numeric,
 # and the rel_error or value derived from it, moved by under 2 eps ||T||_1);
-# verify_all was captured after that change
+# verify_all was captured after that change; verify_corrupt_all (every
+# family's fail rows under --corrupt-steps) was captured before the ladder
+# probes were shared between models with one ladder
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -61,6 +63,7 @@ GOLDEN_CASES = [
     ("verify_corrupt_moments",
      ["verify", "--corrupt-steps", "--only", "moments", "--nmax", "2"], 1),
     ("verify_all", ["verify"], 0),
+    ("verify_corrupt_all", ["verify", "--corrupt-steps"], 1),
 ]
 
 
@@ -396,6 +399,9 @@ def test_out_writes_file(tmp_path, capsys):
         ["oracle", "--model", "exp-mass", "--alpha", "1.0001", "--points", "200"],
         ["oracle", "--model", "exp-mass", "--alpha", "1.001"],
         ["oracle", "--model", "exp-mass", "--alpha", "1.05"],
+        # oscillator grids whose zeta spacing is too coarse for the low states
+        ["oracle", "--lambda-prime", "1e-9", "--levels", "2"],
+        ["oracle", "--lambda-prime", "1e-6", "--levels", "2"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):

@@ -48,9 +48,8 @@ def test_raising_is_transpose(spec):
 
 def test_hamiltonian_diagonal_holds_energies(spec):
     ops = fockrep.build(spec, 7)
-    assert np.allclose(
-        np.diag(ops.hamiltonian), [models.energy(spec, n) for n in range(7)]
-    )
+    # bit for bit: the diagonal is one array call to models.energy
+    assert np.diag(ops.hamiltonian).tolist() == [models.energy(spec, n) for n in range(7)]
     assert np.count_nonzero(ops.hamiltonian - np.diag(np.diag(ops.hamiltonian))) == 0
 
 
@@ -108,6 +107,29 @@ def test_raised_eigenstates_are_orthonormal(spec):
     )
     gram = basis.T @ basis
     assert np.max(np.abs(gram - np.eye(12))) < 1e-10
+
+
+def _raised_alone(ops, n):
+    """Eigenstate n by its own chain of n raisings from the ground state."""
+    v = np.zeros(ops.dim)
+    v[0] = 1.0
+    log_norms = 0.0
+    for _ in range(n):
+        v = ops.raising @ v
+        s = float(np.linalg.norm(v))
+        v /= s
+        log_norms += math.log(s)
+    return v * math.exp(log_norms - 0.5 * models.rho_log(ops.spec, n))
+
+
+def test_one_raising_chain_equals_a_chain_per_state_bit_for_bit(spec):
+    ops = fockrep.build(spec, 40)
+    states = fockrep.states_by_raising(ops, 11)
+    assert states.shape == (12, 40)
+    for n in range(12):
+        alone = _raised_alone(ops, n)
+        assert np.array_equal(states[n], alone)
+        assert np.array_equal(fockrep.eigenstate_by_raising(ops, n), alone)
 
 
 def test_eigenstate_by_raising_bounds(spec):

@@ -148,6 +148,22 @@ def test_steps_array_matches_scalar():
         assert arr[n] == models.step(spec, n)
 
 
+@pytest.mark.parametrize(
+    "spec", [nonlinear(0.1), bounded(0.27), expmass(1.5), models.harmonic_limit(nonlinear(0.1))],
+    ids=lambda s: s.id,
+)
+def test_energy_and_remainder_arrays_match_scalar_bit_for_bit(spec):
+    n = np.arange(0, 201)
+    energies = models.energy(spec, n)
+    remainders = models.remainder(spec, n[1:])
+    assert energies.shape == (201,) and remainders.shape == (200,)
+    assert energies.tolist() == [models.energy(spec, int(k)) for k in n]
+    assert remainders.tolist() == [models.remainder(spec, int(k)) for k in n[1:]]
+    for k in (np.arange(0, 3), np.array([2, 0, 5]), np.arange(-1, 2)):
+        with pytest.raises(ValueError):
+            models.remainder(spec, k)
+
+
 def test_steps_strictly_increasing():
     for spec in ALL_SPECS:
         arr = models.step(spec, np.arange(201))

@@ -194,3 +194,26 @@ def test_expmass_near_one_within_resolution_is_accepted():
     prob = oracle.build_problem(models.make_model("exp-mass", alpha=1.1, mu=1.0), points=2000)
     assert prob.resolution < oracle.LEVEL_TOL
     assert np.all(np.isfinite(oracle.lowest_eigenvalues(prob, 4)))
+
+
+@pytest.mark.parametrize("q, h", [(1e-9, "22"), (1e-6, "0.71")])
+def test_coarse_oscillator_grid_is_not_compared(q, h):
+    # the walls at +-1/sqrt(2q) leave h = 2(1 - pad)/(sqrt(2q)(M + 1)) in zeta
+    spec = nonlinear(q)
+    prob = oracle.build_problem(spec, points=2000)
+    assert prob.h == pytest.approx(2.0 * (1.0 - prob.pad) / (math.sqrt(2.0 * q) * 2001))
+    match = rf"q={q!r}, M=2000: .*spacing h = {h} is above {oracle.ZETA_STEP_MAX}"
+    with pytest.raises(ValueError, match=match):
+        oracle.require_fine_grid(prob)
+    with pytest.raises(ValueError, match=match):
+        oracle.compare_spectrum(spec, k=2, points=2000)
+
+
+@pytest.mark.parametrize(
+    "spec, points",
+    [(nonlinear(1e-5), 2000), (nonlinear(1e-3), 500), (nonlinear(0.1), 50), (HARMONIC, 3)],
+    ids=["q=1e-5", "q=1e-3", "q=0.1", "harmonic"],
+)
+def test_fine_enough_grid_is_compared(spec, points):
+    # the bound applies to the singular oscillators only: harmonic at M = 3 has h > 1
+    oracle.require_fine_grid(oracle.build_problem(spec, points=points))
