@@ -18,11 +18,13 @@ records such failures as fail rows.  All floating-point text output carries
 15 significant digits and rows are emitted in a deterministic order, so
 byte-identical reruns are the norm.
 
-A JSON config file (--config) may hold any long-option value under its
-underscored name ({"model": "exp-mass", "mu": 2.0, ...}); explicit flags win
-over the file, and a key that the chosen subcommand does not read is an error
-(exit 2), even when another subcommand has that option.  The parser is built
-once per process for each config, on the first call that needs it.
+Each parameter has one spelling: a model takes --alpha and --lambda-prime (q)
+or --mu, and a label is one complex --z (1.5, 0.5+0.3i).  A JSON config file
+(--config) may hold any option under its long name with - read as _
+({"model": "exp-mass", "mu": 2.0, "lambda_prime": 0.2, ...}); explicit flags
+win over the file, and a key that the chosen subcommand does not read is an
+error (exit 2), even when another subcommand has that option.  The parser is
+built once per process for each config, on the first call that needs it.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ __all__ = ["main", "VERIFY_REPORT_SCHEMA"]
 #: schema of the verify report (field names frozen), as gcstates.verify has it
 VERIFY_REPORT_SCHEMA = verify.REPORT_SCHEMA
 
-_DEFAULT_NONLINEARITY = 0.1
-
 #: most labels one stats --z-sweep may ask for
 SWEEP_MAX_LABELS = 10**6
 
@@ -68,24 +68,10 @@ def _parse_z(text) -> complex:
         raise ValueError(f"could not parse label {text!r} as a complex number")
 
 
-def _component_z(args) -> complex | None:
-    """Label assembled from --z-re/--z-im, or None if neither was given."""
-    if args.z_re is None and args.z_im is None:
-        return None
-    re = args.z_re if args.z_re is not None else 0.0
-    im = args.z_im if args.z_im is not None else 0.0
-    return complex(re, im)
-
-
 def _spec_from(args) -> models.ModelSpec:
     if args.model == "exp-mass":
         return models.make_model("exp-mass", alpha=args.alpha, mu=args.mu)
-    if args.model == "nonlinear-osc" and getattr(args, "lambda_tilde", None) is not None:
-        return models.make_model(
-            "nonlinear-osc", alpha=args.alpha, lambda_tilde=args.lambda_tilde
-        )
-    nl = args.nonlinearity if args.nonlinearity is not None else _DEFAULT_NONLINEARITY
-    return models.make_model(args.model, alpha=args.alpha, nonlinearity=nl)
+    return models.make_model(args.model, alpha=args.alpha, nonlinearity=args.lambda_prime)
 
 
 def _emit(text: str, out: str) -> None:
@@ -132,10 +118,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_coherent(args) -> int:
     spec = _spec_from(args)
-    z = _component_z(args)
-    if z is None:
-        z = _parse_z(args.z)
-    state = coherent_mod.construct(spec, z, eps=args.eps)
+    state = coherent_mod.construct(spec, _parse_z(args.z), eps=args.eps)
     if args.format == "csv":
         rows = [
             (state.n0 + k, state.log_coeff[k], state.phase[k].real, state.phase[k].imag)
@@ -158,8 +141,6 @@ def cmd_stats(args) -> int:
             raise ValueError(f"z sweep asks for more than {SWEEP_MAX_LABELS} labels")
         count = int(math.floor(span)) + 1
         zs = [complex(start + i * step_sz) for i in range(count)]
-    elif _component_z(args) is not None:
-        zs = [_component_z(args)]
     else:
         zs = [_parse_z(z) for z in args.z]
     rows = []
@@ -224,16 +205,14 @@ def _params_text(spec) -> str:
 
 def cmd_oracle(args) -> int:
     spec = _spec_from(args)
-    comps = oracle.compare_spectrum(
-        spec, k=args.levels, points=args.points, pad=args.pad
-    )
+    comps = oracle.compare_spectrum(spec, k=args.levels, points=args.points)
     rows = [
         (spec.id, _params_text(spec), c.n, c.numeric, c.analytic, c.rel_error, args.points)
         for c in comps
     ]
     header = ("model", "params", "n", "E_numeric", "E_analytic", "rel_error", "M")
     _write(args, header, rows)
-    return 0 if max(c.rel_error for c in comps) < verify.LEVEL_TOL else 1
+    return 0 if max(c.rel_error for c in comps) < oracle.LEVEL_TOL else 1
 
 
 def cmd_verify(args) -> int:
@@ -255,32 +234,12 @@ def _add_model_opts(sub) -> None:
     sub.add_argument("--alpha", type=float, default=1.0, help="oscillator scale alpha")
     sub.add_argument(
         "--lambda-prime",
-        "--nonlinearity",
-        dest="nonlinearity",
         type=float,
-        default=None,
+        default=0.1,
         help="dimensionless nonlinearity q (default 0.1); for bounded-osc "
         "this is half the squared profile slope",
     )
-    sub.add_argument(
-        "--lambda-tilde",
-        dest="lambda_tilde",
-        type=float,
-        default=None,
-        help="raw mass parameter lam/alpha for nonlinear-osc (negative)",
-    )
     sub.add_argument("--mu", type=float, default=1.0, help="exp-mass decay rate mu")
-
-
-def _add_z_component_opts(sub) -> None:
-    sub.add_argument(
-        "--z-re", dest="z_re", type=float, default=None,
-        help="real part of the label (alternative to --z)",
-    )
-    sub.add_argument(
-        "--z-im", dest="z_im", type=float, default=None,
-        help="imaginary part of the label (alternative to --z)",
-    )
 
 
 def _add_out_opts(sub, default_format="csv") -> None:
@@ -318,7 +277,6 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     _add_model_opts(s)
     _add_out_opts(s, default_format="json")
     s.add_argument("--z", default="0", help="label, e.g. 1.5 or 0.5+0.3i")
-    _add_z_component_opts(s)
     s.add_argument("--eps", type=float, default=1e-12, help="truncation tolerance")
     s.set_defaults(func=cmd_coherent)
 
@@ -326,7 +284,6 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     _add_model_opts(s)
     _add_out_opts(s)
     s.add_argument("--z", nargs="+", default=["1"], help="one or more labels")
-    _add_z_component_opts(s)
     s.add_argument(
         "--z-sweep", dest="z_sweep", nargs=3, type=float, default=None,
         metavar=("START", "STOP", "STEP"), help="real label sweep",
@@ -358,7 +315,6 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     _add_out_opts(s)
     s.add_argument("--levels", type=int, default=4, help="levels to compare")
     s.add_argument("--points", type=int, default=2000, help="grid points")
-    s.add_argument("--pad", type=float, default=1e-6, help="relative wall inset")
     s.set_defaults(func=cmd_oracle)
 
     s = subs.add_parser("verify", help="run every verification family")

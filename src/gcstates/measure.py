@@ -95,8 +95,6 @@ def verify_moments(
     spec: ModelSpec,
     n_max: int = 8,
     rel_tol: float = 1e-10,
-    threshold: float = MOMENT_TOL,
-    n0_threshold: float = MOMENT0_TOL,
 ) -> list[MomentReport]:
     """Check int w~(xi) xi^n dxi = rho_n for n = 0..n_max.
 
@@ -106,8 +104,9 @@ def verify_moments(
     error bound is the change from the sum on every other node, plus the
     integrand at both end nodes (past them it falls at least as e^{-|u|}),
     plus a rounding unit; QuadratureError when it exceeds rel_tol times the
-    sum (exp-mass with mu = 1e-12, say).  n_max is capped at 12.  The n = 0
-    moment is the measure normalization and has the tighter n0_threshold.
+    sum (exp-mass with mu = 1e-12, say).  n_max is capped at 12.  A moment
+    passes below MOMENT_TOL relative error; the n = 0 moment, the measure
+    normalization, below the tighter MOMENT0_TOL.
     """
     if n_max != int(n_max) or not 0 <= n_max <= 12:
         raise ValueError(f"n_max must be an integer in 0..12, got {n_max}")
@@ -125,7 +124,7 @@ def verify_moments(
             msg = f"moment {k}: grid sum certified to {err:.3g}, not {rel_tol:.3g} relative"
             raise QuadratureError(msg, estimate=value, error_bound=err)
         rel = abs(value - rho) / rho
-        cut = n0_threshold if k == 0 else threshold
+        cut = MOMENT0_TOL if k == 0 else MOMENT_TOL
         reports.append(MomentReport(k, value, rho, rel, err, rel < cut))
     return reports
 

@@ -43,8 +43,9 @@ Built-in model ids
 ``nonlinear-osc``
     m(x) = (1 + lam x^2)^{-1} on the interval where the mass stays positive,
     V = m(x) alpha^2 x^2 / 2, in the lam < 0 regime where the spectrum is
-    infinite.  Parameterized by the dimensionless nonlinearity
-    q = |lam/alpha|/2 > 0; quadratic ladder with unit alpha.
+    infinite.  Parameterized by alpha and the dimensionless nonlinearity
+    q = |lam/alpha|/2 > 0 (make_model takes q, never lam); quadratic ladder
+    with unit alpha.
 
 ``bounded-osc``
     m(x) = (1 - (lam x)^2)^{-1}, V = m(x) alpha^2 x^2 / 2.  The same
@@ -156,11 +157,6 @@ class QuadraticLadder:
         d = n - mean
         return mean, float((d * d) @ p) / total
 
-    def moments(self, x: float) -> tuple[float, float]:
-        """(<n>, <n^2>) from mean_var."""
-        mean, var = self.mean_var(x)
-        return mean, var + mean**2
-
     def weight_log(self, xi):
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
         nu = 1.0 + 1.0 / self.q
@@ -203,9 +199,6 @@ class LinearLadder:
 
     def mean_var(self, x: float) -> tuple[float, float]:
         return x, x
-
-    def moments(self, x: float) -> tuple[float, float]:
-        return x, x + x**2
 
     def weight_log(self, xi):
         scale_sq = self.scale**2
@@ -261,55 +254,30 @@ def make_model(
     alpha: float = 1.0,
     nonlinearity: float | None = None,
     mu: float | None = None,
-    lambda_tilde: float | None = None,
 ) -> ModelSpec:
     """Validate parameters and build a ModelSpec.
 
-    nonlinear-osc accepts either the nonlinearity q > 0 directly or the raw
-    dimensionless mass parameter lambda_tilde = lam/alpha (negative in the
-    infinite-spectrum regime handled here), in which case q = |lambda_tilde|/2.
+    Every model takes alpha > 0.  The two singular-mass oscillators take the
+    nonlinearity q > 0 (ignoring mu); exp-mass takes mu > 0 and refuses a
+    nonlinearity.
     """
     if model_id not in MODEL_IDS:
         raise ValueError(
             f"unknown model {model_id!r}, expected one of {', '.join(MODEL_IDS)}"
         )
-    given = dict(alpha=alpha, nonlinearity=nonlinearity, mu=mu, lambda_tilde=lambda_tilde)
+    given = dict(alpha=alpha, nonlinearity=nonlinearity, mu=mu)
     for name, value in given.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
 
-    if model_id == "nonlinear-osc":
-        if lambda_tilde is not None:
-            if nonlinearity is not None:
-                raise ValueError("give either nonlinearity or lambda_tilde, not both")
-            if lambda_tilde > 0:
-                raise ValueError(
-                    "lambda_tilde > 0: finite spectrum regime out of scope"
-                )
-            if lambda_tilde == 0:
-                raise ValueError(
-                    "lambda_tilde = 0 is the constant-mass case; use harmonic_limit"
-                )
-            nonlinearity = abs(lambda_tilde) / 2.0
+    if model_id != "exp-mass":
         if nonlinearity is None or not nonlinearity > 0:
-            raise ValueError(
-                f"nonlinear-osc needs nonlinearity > 0, got {nonlinearity}"
-            )
-        return ModelSpec("nonlinear-osc", alpha=alpha, nonlinearity=float(nonlinearity))
+            raise ValueError(f"{model_id} needs nonlinearity > 0, got {nonlinearity}")
+        return ModelSpec(model_id, alpha=alpha, nonlinearity=float(nonlinearity))
 
-    if model_id == "bounded-osc":
-        if lambda_tilde is not None:
-            raise ValueError("lambda_tilde applies to nonlinear-osc only")
-        if nonlinearity is None or not nonlinearity > 0:
-            raise ValueError(
-                f"bounded-osc needs nonlinearity > 0, got {nonlinearity}"
-            )
-        return ModelSpec("bounded-osc", alpha=alpha, nonlinearity=float(nonlinearity))
-
-    # exp-mass
-    if lambda_tilde is not None or nonlinearity is not None:
+    if nonlinearity is not None:
         raise ValueError("exp-mass takes mu (and alpha), not a nonlinearity")
     if mu is None or not mu > 0:
         raise ValueError(f"exp-mass needs mu > 0, got {mu}")

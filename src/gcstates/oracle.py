@@ -15,7 +15,7 @@ their natural dimensionless coordinates and the eigenvalues rescaled:
 
 * singular-mass oscillators (zeta = sqrt(alpha) x, energies in units alpha):
   p = (1 - 2 q zeta^2)/2,  v = zeta^2 / (2 (1 - 2 q zeta^2)), walls inset a
-  relative pad inside the mass singularities at +-1/sqrt(2q);
+  relative PAD inside the mass singularities at +-1/sqrt(2q);
 * harmonic reference: p = 1/2, v = zeta^2/2, walls where v = 40;
 * exp-mass (y = mu x, energies in units mu^2): p = e^y,
   v = ((alpha^2 - 1) e^y + e^-y)/4 - (alpha + 1)/2.  The left wall sits
@@ -25,8 +25,8 @@ their natural dimensionless coordinates and the eigenvalues rescaled:
   3/kappa beyond the 40-unit point; without that extension the wall shift
   dominates the discretization error and refining the grid stalls.
 
-The default pad is 1e-6.  Near a mass singularity the eigenfunction behaves
-like delta^s with s = 1/(4q), so the wall-position error scales as pad^{2s};
+The pad is PAD = 1e-6.  Near a mass singularity the eigenfunction behaves
+like delta^s with s = 1/(4q), so the wall-position error scales as PAD^{2s};
 at q = 0.27 that exponent is below one and a looser pad (1e-3, say) leaves a
 grid-independent error floor around 1e-4 that masks the h^2 convergence.
 
@@ -38,7 +38,7 @@ from a wrong one.  That happens for exp-mass as alpha nears 1, where the
 right wall's 3/kappa extension makes e^y, and so ||T||_1, overflow.
 
 The singular oscillators' walls sit at zeta = +-1/sqrt(2q), so their grid
-spacing h = 2 (1 - pad) / (sqrt(2q) (M + 1)) grows as q shrinks while the
+spacing h = 2 (1 - PAD) / (sqrt(2q) (M + 1)) grows as q shrinks while the
 low states keep a width of order one.  Past h = ZETA_STEP_MAX = 0.25 the
 levels are off by percents (at q = 1e-9, M = 2000, h is about 22 and E_0
 comes out near 62 against 0.5), so ``compare_spectrum`` and the verify
@@ -73,6 +73,7 @@ from .models import ModelSpec
 
 __all__ = [
     "LEVEL_TOL",
+    "PAD",
     "GridEigenproblem",
     "LevelComparison",
     "build_problem",
@@ -85,6 +86,9 @@ __all__ = [
 #: relative level error the spectrum checks allow; grids whose bisection
 #: cannot resolve levels this finely are refused
 LEVEL_TOL = 0.01
+
+#: relative inset of a singular oscillator's walls from its mass singularities
+PAD = 1e-6
 
 #: widest zeta spacing at which a singular-oscillator grid's levels are
 #: compared with the analytic spectrum
@@ -106,7 +110,6 @@ class GridEigenproblem:
     lo: float
     hi: float
     points: int
-    pad: float
     h: float
     nodes: np.ndarray
     diag: np.ndarray
@@ -118,7 +121,7 @@ class GridEigenproblem:
     @property
     def key(self) -> tuple:
         """What the matrix depends on: models with equal keys share levels."""
-        return (self.hamiltonian, self.energy_scale, self.points, self.pad)
+        return (self.hamiltonian, self.energy_scale, self.points)
 
 
 def _assemble(
@@ -129,7 +132,6 @@ def _assemble(
     lo: float,
     hi: float,
     points: int,
-    pad: float,
     energy_scale: float,
     symmetric: bool = False,
 ) -> GridEigenproblem:
@@ -163,7 +165,6 @@ def _assemble(
         lo=lo,
         hi=hi,
         points=points,
-        pad=pad,
         h=h,
         nodes=nodes,
         diag=diag,
@@ -174,22 +175,20 @@ def _assemble(
     )
 
 
-def build_problem(spec: ModelSpec, points: int = 2000, pad: float = 1e-6) -> GridEigenproblem:
+def build_problem(spec: ModelSpec, points: int = 2000) -> GridEigenproblem:
     """Discretize the model on its truncated natural domain.
 
-    pad is the relative inset of the Dirichlet walls from the mass
-    singularities and only applies to the singular-mass models.  A grid
-    the bisection cannot resolve to LEVEL_TOL raises ValueError.
+    The singular-mass models' Dirichlet walls sit PAD inside their mass
+    singularities.  A grid the bisection cannot resolve to LEVEL_TOL raises
+    ValueError.
     """
     if points != int(points) or points < 3:
         raise ValueError(f"points must be an integer >= 3, got {points}")
     points = int(points)
-    if not 0 < pad < 0.1:
-        raise ValueError(f"pad must lie in (0, 0.1), got {pad}")
 
     if spec.id in ("nonlinear-osc", "bounded-osc"):
         q = spec.nonlinearity
-        half = (1.0 - pad) / math.sqrt(2.0 * q)
+        half = (1.0 - PAD) / math.sqrt(2.0 * q)
 
         def p(z):
             return 0.5 * (1.0 - 2.0 * q * z**2)
@@ -197,7 +196,7 @@ def build_problem(spec: ModelSpec, points: int = 2000, pad: float = 1e-6) -> Gri
         def v(z):
             return z**2 / (2.0 * (1.0 - 2.0 * q * z**2))
 
-        return _assemble(spec, f"singular-osc q={q!r}", p, v, -half, half, points, pad,
+        return _assemble(spec, f"singular-osc q={q!r}", p, v, -half, half, points,
                          spec.alpha, symmetric=True)
 
     if spec.id == "harmonic":
@@ -210,7 +209,6 @@ def build_problem(spec: ModelSpec, points: int = 2000, pad: float = 1e-6) -> Gri
             -half,
             half,
             points,
-            pad,
             spec.alpha,
             symmetric=True,
         )
@@ -235,7 +233,7 @@ def build_problem(spec: ModelSpec, points: int = 2000, pad: float = 1e-6) -> Gri
     y_hi = brentq(lambda y: v(np.asarray(y)) - (v_min + 40.0), y_bottom, y_bottom + 80.0)
     kappa = 0.5 * math.sqrt(a * a - 1.0)
     y_hi += 3.0 / kappa
-    return _assemble(spec, f"exp-mass alpha={a!r}", p, v, y_lo, y_hi, points, pad, spec.mu**2)
+    return _assemble(spec, f"exp-mass alpha={a!r}", p, v, y_lo, y_hi, points, spec.mu**2)
 
 
 def _lowest(diag: np.ndarray, offdiag: np.ndarray, k: int) -> np.ndarray:
@@ -315,13 +313,11 @@ def require_fine_grid(problem: GridEigenproblem) -> None:
         )
 
 
-def compare_spectrum(
-    spec: ModelSpec, k: int = 4, points: int = 2000, pad: float = 1e-6
-) -> list[LevelComparison]:
+def compare_spectrum(spec: ModelSpec, k: int = 4, points: int = 2000) -> list[LevelComparison]:
     """Compare the k lowest grid eigenvalues against the analytic spectrum.
 
     A grid that require_fine_grid refuses raises ValueError.
     """
-    problem = build_problem(spec, points=points, pad=pad)
+    problem = build_problem(spec, points=points)
     require_fine_grid(problem)
     return compare_levels(spec, lowest_eigenvalues(problem, k))

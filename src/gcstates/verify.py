@@ -31,7 +31,7 @@ import numpy as np
 from . import coherent, fockrep, measure, models, oracle
 from .exceptions import ConsistencyError, ConvergenceError, QuadratureError
 
-__all__ = ["REPORT_SCHEMA", "FAMILIES", "LEVEL_TOL", "default_specs", "run"]
+__all__ = ["REPORT_SCHEMA", "FAMILIES", "default_specs", "run"]
 
 #: schema of the verify report; field names are frozen
 REPORT_SCHEMA = {
@@ -57,7 +57,6 @@ _CHECK_ERRORS = (ConsistencyError, ConvergenceError, QuadratureError, ValueError
 IDENTITY_TOL = 1e-12  # telescoping and step-energy gaps, in energy units
 OPERATOR_TOL = 1e-10  # commutator diagonal and raising reconstruction
 RESIDUAL_TOL = 1e-10  # annihilation residual
-LEVEL_TOL = oracle.LEVEL_TOL  # relative level error against the finite-difference oracle
 LEVELS = 4  # levels the spectrum family compares
 
 
@@ -125,7 +124,8 @@ def _levels(spec, points, solves):
     if problem.key not in solves:
         solves[problem.key] = oracle.lowest_eigenvalues(problem, LEVELS)
     for comp in oracle.compare_levels(spec, solves[problem.key]):
-        yield f"level n={comp.n}", comp.rel_error, LEVEL_TOL, comp.rel_error < LEVEL_TOL
+        tol = oracle.LEVEL_TOL
+        yield f"level n={comp.n}", comp.rel_error, tol, comp.rel_error < tol
 
 
 def _per_ladder(probe):

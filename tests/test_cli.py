@@ -1,7 +1,9 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import argparse
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -113,23 +115,6 @@ def test_coherent_csv_table(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,log_mag,phase_re,phase_im"
     assert len(lines) > 5
-
-
-def test_z_components_equal_combined_form(capsys):
-    combined = ["--z", "0.5+0.3i", "--format", "csv"]
-    split = ["--z-re", "0.5", "--z-im", "0.3", "--format", "csv"]
-    _, a = run(["coherent"] + combined, capsys)
-    _, b = run(["coherent"] + split, capsys)
-    assert a == b
-    _, a = run(["stats"] + combined, capsys)
-    _, b = run(["stats"] + split, capsys)
-    assert a == b
-
-
-def test_z_component_alone_defaults_other_to_zero(capsys):
-    _, a = run(["stats", "--z-re", "2"], capsys)
-    _, b = run(["stats", "--z", "2"], capsys)
-    assert a == b
 
 
 def test_spectrum_nmax_zero_single_row(capsys):
@@ -279,12 +264,46 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # "threshold" is no option's dest, so no subcommand would read it
-    for text in ('{"bogus": 1}', '{"threshold": 1}'):
+    # "threshold" is no option's dest, so no subcommand would read it, and
+    # "nonlinearity" is the library's name for --lambda-prime, not an option's
+    for text in ('{"bogus": 1}', '{"threshold": 1}', '{"nonlinearity": 0.2}'):
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)
         code, _ = run(["spectrum", "--config", str(cfg)], capsys)
         assert code == 2
+
+
+def test_config_key_is_the_option_name(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lambda_prime": 0.2}')
+    code, out = run(["spectrum", "--config", str(cfg), "--nmax", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[2].startswith("1,1.9,1.4,")
+
+
+def _option_actions():
+    """(command, action) for every action of the root parser and each subcommand."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in [("gcstates", parser), *subs.choices.items()]:
+        for action in sub._actions:
+            yield command, action
+
+
+def test_every_option_dest_is_its_underscored_long_name():
+    # config keys are dests, so this makes every option its own config key
+    for command, action in _option_actions():
+        longs = [o for o in action.option_strings if o.startswith("--")]
+        if longs:  # the subcommand positional has none
+            assert [o[2:].replace("-", "_") for o in longs] == [action.dest], (command, longs)
+
+
+def test_readme_cli_section_names_only_real_options():
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    tokens = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    known = {o for _, action in _option_actions() for o in action.option_strings}
+    assert tokens and tokens <= known, sorted(tokens - known)
 
 
 def test_config_rejects_keys_the_subcommand_does_not_read(tmp_path, capsys):
@@ -370,7 +389,7 @@ def test_out_writes_file(tmp_path, capsys):
         ["stats", "--z-sweep", "2", "1", "0.5"],
         ["fig1", "--zsq", "-1"],
         ["spectrum", "--model", "nonlinear-osc", "--lambda-prime", "-0.1"],
-        ["spectrum", "--model", "nonlinear-osc", "--lambda-tilde", "0.3"],
+        ["spectrum", "--model", "bounded-osc", "--lambda-prime", "-0.2"],
         ["spectrum", "--lambda-prime", "inf", "--nmax", "2"],
         ["stats", "--z", "nan"],
         ["fig1", "--zsq", "inf"],
@@ -478,6 +497,21 @@ def test_unknown_model_exits_two_via_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["spectrum", "--model", "box"])
     assert exc.value.code == 2
+
+
+# each parameter has one spelling: --lambda-prime for q, --z for a label
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--model", "bounded-osc", "--lambda-tilde", "-0.2"],
+    ["spectrum", "--nonlinearity", "0.2"],
+    ["coherent", "--z-re", "1"],
+    ["stats", "--z-im", "1"],
+    ["oracle", "--pad", "1e-3"],
+], ids=["lambda-tilde", "nonlinearity", "z-re", "z-im", "pad"])
+def test_second_spellings_exit_two_via_argparse(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_has_no_format_option(capsys):

@@ -40,7 +40,7 @@ def test_make_model_rejects_unknown_id():
         ("nonlinear-osc", {"nonlinearity": math.inf}),
         ("nonlinear-osc", {"nonlinearity": math.nan}),
         ("nonlinear-osc", {"alpha": math.inf, "nonlinearity": 0.1}),
-        ("nonlinear-osc", {"lambda_tilde": -math.inf}),
+        ("nonlinear-osc", {"nonlinearity": -math.inf}),
         ("bounded-osc", {"nonlinearity": math.inf}),
         ("exp-mass", {"mu": math.inf}),
         ("exp-mass", {"alpha": math.inf, "mu": 1.0}),
@@ -63,21 +63,6 @@ def test_make_model_accepts_mu_at_the_edges_of_its_range(mu):
     assert 0.0 < spec.energy_unit < math.inf
 
 
-def test_make_model_rejects_positive_lambda_tilde():
-    with pytest.raises(ValueError, match="out of scope"):
-        models.make_model("nonlinear-osc", lambda_tilde=0.2)
-
-
-def test_make_model_rejects_zero_lambda_tilde():
-    with pytest.raises(ValueError, match="harmonic_limit"):
-        models.make_model("nonlinear-osc", lambda_tilde=0.0)
-
-
-def test_make_model_rejects_double_parameterization():
-    with pytest.raises(ValueError):
-        models.make_model("nonlinear-osc", nonlinearity=0.1, lambda_tilde=-0.2)
-
-
 def test_make_model_rejects_mixed_parameters():
     with pytest.raises(ValueError):
         models.make_model("exp-mass", mu=1.0, nonlinearity=0.1)
@@ -85,15 +70,6 @@ def test_make_model_rejects_mixed_parameters():
         models.make_model("exp-mass", mu=-1.0)
     with pytest.raises(ValueError):
         models.make_model("nonlinear-osc", nonlinearity=-0.1)
-
-
-def test_lambda_tilde_maps_to_half_magnitude():
-    # raw mass parameter -0.2 and nonlinearity 0.1 are the same model
-    via_raw = models.make_model("nonlinear-osc", lambda_tilde=-0.2)
-    via_q = nonlinear(0.1)
-    assert via_raw.nonlinearity == pytest.approx(via_q.nonlinearity)
-    for n in range(6):
-        assert models.energy(via_raw, n) == models.energy(via_q, n)
 
 
 # ---------------------------------------------------------------- spectra

@@ -93,10 +93,6 @@ def test_error_shrinks_with_grid_refinement():
 def test_build_problem_guards():
     with pytest.raises(ValueError):
         oracle.build_problem(nonlinear(0.1), points=2)
-    with pytest.raises(ValueError):
-        oracle.build_problem(nonlinear(0.1), pad=0.0)
-    with pytest.raises(ValueError):
-        oracle.build_problem(nonlinear(0.1), pad=0.5)
 
 
 def test_lowest_eigenvalues_k_guard():
@@ -198,10 +194,10 @@ def test_expmass_near_one_within_resolution_is_accepted():
 
 @pytest.mark.parametrize("q, h", [(1e-9, "22"), (1e-6, "0.71")])
 def test_coarse_oscillator_grid_is_not_compared(q, h):
-    # the walls at +-1/sqrt(2q) leave h = 2(1 - pad)/(sqrt(2q)(M + 1)) in zeta
+    # the walls at +-1/sqrt(2q) leave h = 2(1 - PAD)/(sqrt(2q)(M + 1)) in zeta
     spec = nonlinear(q)
     prob = oracle.build_problem(spec, points=2000)
-    assert prob.h == pytest.approx(2.0 * (1.0 - prob.pad) / (math.sqrt(2.0 * q) * 2001))
+    assert prob.h == pytest.approx(2.0 * (1.0 - oracle.PAD) / (math.sqrt(2.0 * q) * 2001))
     match = rf"q={q!r}, M=2000: .*spacing h = {h} is above {oracle.ZETA_STEP_MAX}"
     with pytest.raises(ValueError, match=match):
         oracle.require_fine_grid(prob)

@@ -144,19 +144,6 @@ def test_match_mean_rejects_nonpositive():
         stats.match_mean_abs_z(nonlinear(), 0.0)
 
 
-# x/q on both sides of HYP0F1_SERIES_MAX, so both 0F1 routes are covered
-MEAN_ARGS = (0.0, 1e-3, 1.0, 1e4, 1e9, 1e12)
-
-
-@pytest.mark.parametrize("ladder", [
-    nonlinear(0.07).ladder, nonlinear(2.0).ladder, expmass(0.5).ladder, expmass(2.0).ladder,
-], ids=["quadratic-q0.07", "quadratic-q2", "linear-mu0.5", "linear-mu2"])
-def test_mean_is_first_moment_bit_for_bit(ladder):
-    for w in MEAN_ARGS:
-        x = w * getattr(ladder, "q", 1.0)
-        assert ladder.moments(x)[0] == ladder.mean_var(x)[0], w
-
-
 def _mean_mp(spec, abs_z):
     """<n> at label magnitude |z| in 40-digit arithmetic, x N'(x)/N(x)."""
     mpmath = pytest.importorskip("mpmath")
