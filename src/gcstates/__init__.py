@@ -16,8 +16,8 @@ from .coherent import (
     overlap,
 )
 from .exceptions import ConsistencyError, ConvergenceError, QuadratureError
-from .fockrep import TruncatedOperators, build, commutator_diagonal, eigenstate_by_raising
-from .measure import radius, verify_moments, weight, weight_tilde
+from .fockrep import TruncatedOperators, build, commutator_diagonal
+from .measure import radius, verify_moments, weight_tilde
 from .models import (
     MODEL_IDS,
     ModelSpec,
@@ -48,7 +48,6 @@ __all__ = [
     "compare_spectrum",
     "construct",
     "distribution",
-    "eigenstate_by_raising",
     "energy",
     "harmonic_limit",
     "label_continuity",
@@ -63,6 +62,5 @@ __all__ = [
     "summary_closed",
     "summary_series",
     "verify_moments",
-    "weight",
     "weight_tilde",
 ]

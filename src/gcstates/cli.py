@@ -19,12 +19,12 @@ records such failures as fail rows.  All floating-point text output carries
 byte-identical reruns are the norm.
 
 Each parameter has one spelling: a model takes --alpha and --lambda-prime (q)
-or --mu, and a label is one complex --z (1.5, 0.5+0.3i).  A JSON config file
-(--config) may hold any option under its long name with - read as _
-({"model": "exp-mass", "mu": 2.0, "lambda_prime": 0.2, ...}); explicit flags
-win over the file, and a key that the chosen subcommand does not read is an
-error (exit 2), even when another subcommand has that option.  The parser is
-built once per process for each config, on the first call that needs it.
+or --mu, refusing the other family's (exit 2), and a label is one complex --z
+(1.5, 0.5+0.3i).  A JSON config file (--config) may hold any option under its
+long name with - read as _ ({"model": "exp-mass", "mu": 2.0}), each key as
+a given flag; explicit flags win over the file, and a key that the chosen
+subcommand does not read is an error (exit 2), even when another subcommand
+has that option.  The parser is built once per process for each config.
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ def _parse_z(text) -> complex:
 
 
 def _spec_from(args) -> models.ModelSpec:
-    if args.model == "exp-mass":
-        return models.make_model("exp-mass", alpha=args.alpha, mu=args.mu)
-    return models.make_model(args.model, alpha=args.alpha, nonlinearity=args.lambda_prime)
+    # a family's own parameter defaults when absent; make_model refuses the other's
+    exp = args.model == "exp-mass"
+    q = 0.1 if args.lambda_prime is None and not exp else args.lambda_prime
+    mu = 1.0 if args.mu is None and exp else args.mu
+    return models.make_model(args.model, alpha=args.alpha, nonlinearity=q, mu=mu)
 
 
 def _emit(text: str, out: str) -> None:
@@ -235,11 +237,10 @@ def _add_model_opts(sub) -> None:
     sub.add_argument(
         "--lambda-prime",
         type=float,
-        default=0.1,
-        help="dimensionless nonlinearity q (default 0.1); for bounded-osc "
-        "this is half the squared profile slope",
+        help="the oscillators' dimensionless nonlinearity q (default 0.1); for "
+        "bounded-osc this is half the squared profile slope",
     )
-    sub.add_argument("--mu", type=float, default=1.0, help="exp-mass decay rate mu")
+    sub.add_argument("--mu", type=float, help="exp-mass decay rate mu (default 1.0)")
 
 
 def _add_out_opts(sub, default_format="csv") -> None:

@@ -49,7 +49,8 @@ class CoherentState:
     log_coeff[k] + i*arg(phase[k]) encodes the normalized coefficient
     c_{n0+k}; log_norm is ln N from the direct series and log_norm_closed
     the same from the model's closed form.  tail_bound bounds the discarded
-    probability mass, on both sides, relative to the full norm.
+    probability mass, on both sides, relative to the full norm.  A coefficient
+    exp(log_coeff) is good only to about |ln c_n| 2.2e-16 relative.
     """
 
     spec: ModelSpec
@@ -195,7 +196,7 @@ def overlap_kernel(a: CoherentState, b: CoherentState) -> complex:
     """<a|b> from the analytic kernel N(conj(zeta_a) zeta_b) / sqrt(Na Nb)."""
     if a.spec != b.spec:
         raise ValueError("overlap requires states of the same model")
-    log_n = a.spec.ladder.norm_log(a.zeta.conjugate() * b.zeta)
+    log_n = a.spec.ladder.kernel_log(a.zeta.conjugate() * b.zeta)
     return cmath.exp(log_n - 0.5 * (a.log_norm + b.log_norm))
 
 

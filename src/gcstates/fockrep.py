@@ -31,7 +31,6 @@ __all__ = [
     "build",
     "commutator_diagonal",
     "states_by_raising",
-    "eigenstate_by_raising",
 ]
 
 
@@ -44,11 +43,6 @@ class TruncatedOperators:
     lowering: np.ndarray
     raising: np.ndarray
     hamiltonian: np.ndarray
-
-    @property
-    def interior_dim(self) -> int:
-        """Rows on which truncated algebraic identities are exact."""
-        return self.dim - 1
 
 
 def build(spec: ModelSpec, dim: int) -> TruncatedOperators:
@@ -102,8 +96,3 @@ def states_by_raising(ops: TruncatedOperators, n_max: int) -> np.ndarray:
         # L+^n ground = sqrt(rho_n) eigenstate_n, so the residual factor is ~1
         out[n] = v * math.exp(log_norms - 0.5 * models.rho_log(ops.spec, n))
     return out
-
-
-def eigenstate_by_raising(ops: TruncatedOperators, n: int) -> np.ndarray:
-    """Row n of ``states_by_raising(ops, n)``: eigenstate n as L+^n ground."""
-    return states_by_raising(ops, n)[n]

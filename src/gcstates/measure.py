@@ -40,7 +40,6 @@ __all__ = [
     "RadiusReport",
     "weight_tilde_log",
     "weight_tilde",
-    "weight",
     "verify_moments",
     "classify_growth",
     "radius",
@@ -58,17 +57,6 @@ def weight_tilde_log(spec: ModelSpec, xi):
 def weight_tilde(spec: ModelSpec, xi: float) -> float:
     """Reduced weight w~(xi), strictly positive on (0, inf)."""
     return math.exp(weight_tilde_log(spec, xi))
-
-
-def weight(spec: ModelSpec, xi: float) -> float:
-    """Full weight w(xi) = w~(xi) N(xi).
-
-    Evaluated through the closed normalization (0F1 or exponential), which
-    keeps this route independent of the coefficient series.
-    """
-    if not xi > 0:
-        raise ValueError(f"xi must be positive, got {xi}")
-    return spec.ladder.weight(xi)
 
 
 @dataclass(frozen=True)

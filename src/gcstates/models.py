@@ -12,8 +12,8 @@ Ladder families
 ``QuadraticLadder(q, unit)``
     e_n = n (1 + q (n + 1)), E_n = unit (n + 1/2 + q n (n+1)).  The
     generalized factorial is rho_n = n! q^n (b)_n with b = 2 + 1/q, so the
-    normalizer is N(x) = 0F1(; b; x/q) and the reduced measure weight is a
-    modified Bessel kernel.  Labels need no rescaling (scale 1).
+    normalizer is N(x) = 0F1(; b; x/q), a window sum, and the reduced measure
+    weight is a modified Bessel kernel.  Labels need no rescaling (scale 1).
 
 ``LinearLadder(scale, unit, ground)``
     e_n = n, E_n = unit (n + ground), rho_n = n!, N(x) = exp(x): the
@@ -66,13 +66,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .exceptions import ConsistencyError
-from .specfn import bessel_k, hyp0f1, log_gamma, pochhammer_log
+from .specfn import bessel_k, hyp0f1, hyp0f1_term_log, log_gamma, pochhammer_log
 
 __all__ = [
     "MODEL_IDS",
@@ -90,7 +90,7 @@ __all__ = [
 
 MODEL_IDS = ("nonlinear-osc", "bounded-osc", "exp-mass")
 
-#: deepest mode QuadraticLadder.mean_var sums around, as deep as construct goes
+#: deepest mode of the 0F1 window behind QuadraticLadder's ln N, <n> and var
 MOMENT_MODE_MAX = 1e8
 
 
@@ -99,24 +99,18 @@ class QuadraticLadder:
     """Ladder of the two singular-mass oscillators, e_n = n (1 + q (n + 1)).
 
     Closed forms take n as an int (step, energy and remainder also as an
-    index array), x = |zeta|^2 in step units, xi = |z|^2 > 0, and norm_log
-    also a complex w = conj(zeta_a) zeta_b.
+    index array), x = |zeta|^2 in step units (ln N, <n> and var n from one
+    window of 0F1 terms), xi = |z|^2 > 0, and kernel_log w = conj(zeta_a) zeta_b.
     """
 
     q: float
     unit: float
-    b: float = field(init=False, repr=False)  # lower 0F1 parameter 2 + 1/q
-    # ln[2 / (q Gamma(b))], the constant part of ln w~
-    weight_log_const: float = field(init=False, repr=False)
     scale = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", 2.0 + 1.0 / self.q)
-        object.__setattr__(
-            self,
-            "weight_log_const",
-            math.log(2.0) - math.log(self.q) - log_gamma(self.b),
-        )
+    @property
+    def b(self) -> float:
+        """Lower 0F1 parameter 2 + 1/q."""
+        return 2.0 + 1.0 / self.q
 
     def step(self, n):
         return n * (1.0 + self.q * (n + 1))
@@ -131,42 +125,50 @@ class QuadraticLadder:
         """ln[n! q^n (b)_n]."""
         return math.lgamma(n + 1) + (n * math.log(self.q) + pochhammer_log(self.b, n))
 
-    def norm_log(self, w):
-        """ln N(w) = ln 0F1(; b; w/q); complex unless w is real and w >= 0."""
+    def norm_log(self, x: float) -> float:
+        """ln N(x) = ln 0F1(; b; x/q) = ln t_lo + ln sum of the window's products."""
+        _, p, log_t_lo = self._window(x)
+        return log_t_lo + math.log(p.sum())
+
+    def kernel_log(self, w: complex) -> complex:
+        """ln N(w) at the overlap's complex w = conj(zeta_a) zeta_b."""
         return hyp0f1(self.b, w / self.q).value
 
     def mean_var(self, x: float) -> tuple[float, float]:
-        """(<n>, var n) of P_n ~ t_n = w^n / ((b)_n n!), w = x/q, in one array pass.
-
-        The window reaches 9 sqrt(n* + 1) + 30 terms each side of the mode
-        n*, where the tails, no heavier than a Poisson's with its mode at n*,
-        are below about 1e-17 of the total.  The weights are running products
-        of t_{n+1}/t_n and the variance is centred.  Modes past
-        MOMENT_MODE_MAX raise ValueError.
-        """
-        b, w = self.b, x / self.q
-        mode = 2.0 * w / (b - 1.0 + math.sqrt((b - 1.0) ** 2 + 4.0 * w))
-        if not mode <= MOMENT_MODE_MAX:
-            raise ValueError(f"x = {x:g} puts the moment window's mode past n = "
-                             f"{MOMENT_MODE_MAX:g}")
-        half = int(9.0 * math.sqrt(mode + 1.0)) + 30
-        n = np.arange(max(int(mode) - half, 0), int(mode) + half + 1, dtype=float)
-        p = np.cumprod(np.concatenate(([1.0], w / ((b + n[:-1]) * (n[:-1] + 1.0)))))
+        """(<n>, var n) of P_n ~ t_n on the window, the variance centred."""
+        n, p, _ = self._window(x)
         total = p.sum()
         mean = float(n @ p) / total
         d = n - mean
         return mean, float((d * d) @ p) / total
+
+    def _window(self, x: float):
+        """(n, p, ln t_lo): the 0F1 terms t_n = w^n / ((b)_n n!), w = x/q, around their mode.
+
+        n runs over lo..hi, 9 sqrt(n* + 1) + 30 terms each side of the mode
+        n*, where the tails, no heavier than a Poisson's with its mode at n*,
+        are below about 1e-17 of the total.  p holds the running products
+        t_n/t_lo of t_{n+1}/t_n = w/((b + n)(n + 1)); ln t_lo is the Gamma
+        form.  A negative x, or a mode past MOMENT_MODE_MAX, raises ValueError.
+        """
+        b, w = self.b, x / self.q
+        mode = 2.0 * w / (b - 1.0 + math.sqrt((b - 1.0) ** 2 + 4.0 * w)) if w >= 0 else -1.0
+        if not 0.0 <= mode <= MOMENT_MODE_MAX:
+            raise ValueError(f"x = {x:g} is negative or puts the 0F1 window's mode "
+                             f"past n = {MOMENT_MODE_MAX:g}")
+        half = int(9.0 * math.sqrt(mode + 1.0)) + 30
+        lo = max(int(mode) - half, 0)
+        n = np.arange(lo, int(mode) + half + 1, dtype=float)
+        p = np.cumprod(np.concatenate(([1.0], w / ((b + n[:-1]) * (n[:-1] + 1.0)))))
+        return n, p, hyp0f1_term_log(b, w, lo)
 
     def weight_log(self, xi):
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
         nu = 1.0 + 1.0 / self.q
         u = xi / self.q
         log_k = bessel_k(nu, 2.0 * np.sqrt(u))
-        return self.weight_log_const + 0.5 * nu * np.log(u) + log_k
-
-    def weight(self, xi: float) -> float:
-        """Full weight w~(xi) N(xi)."""
-        return math.exp(self.weight_log(xi) + self.norm_log(xi))
+        const = math.log(2.0) - math.log(self.q) - log_gamma(self.b)
+        return const + 0.5 * nu * np.log(u) + log_k
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,10 @@ class LinearLadder:
     def rho_log(self, n: int) -> float:
         return math.lgamma(n + 1)
 
-    def norm_log(self, w):
+    def norm_log(self, x: float) -> float:
+        return x
+
+    def kernel_log(self, w: complex) -> complex:
         return w
 
     def mean_var(self, x: float) -> tuple[float, float]:
@@ -203,10 +208,6 @@ class LinearLadder:
     def weight_log(self, xi):
         scale_sq = self.scale**2
         return -math.log(scale_sq) - xi / scale_sq
-
-    def weight(self, xi: float) -> float:
-        # the exponential factors cancel exactly: w = 1/scale^2, flat
-        return 1.0 / self.scale**2
 
 
 # The ladder each model id closes; a new solvable model is one entry here.
@@ -258,7 +259,7 @@ def make_model(
     """Validate parameters and build a ModelSpec.
 
     Every model takes alpha > 0.  The two singular-mass oscillators take the
-    nonlinearity q > 0 (ignoring mu); exp-mass takes mu > 0 and refuses a
+    nonlinearity q > 0 and refuse a mu; exp-mass takes mu > 0 and refuses a
     nonlinearity.
     """
     if model_id not in MODEL_IDS:
@@ -273,6 +274,8 @@ def make_model(
         raise ValueError(f"alpha must be positive, got {alpha}")
 
     if model_id != "exp-mass":
+        if mu is not None:
+            raise ValueError(f"{model_id} takes a nonlinearity (and alpha), not mu")
         if nonlinearity is None or not nonlinearity > 0:
             raise ValueError(f"{model_id} needs nonlinearity > 0, got {nonlinearity}")
         return ModelSpec(model_id, alpha=alpha, nonlinearity=float(nonlinearity))

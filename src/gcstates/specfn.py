@@ -1,9 +1,9 @@
 """Special-function kernels.
 
 Everything downstream leans on four primitives: the log-gamma function, the
-log-Pochhammer symbol, the confluent limit function 0F1 and the modified
-Bessel function K_nu.  0F1, for a real argument x >= 0 or a complex w, is
-summed by its ascending series up to |w| = 1e8; beyond that it is
+log-Pochhammer symbol, the confluent limit function 0F1 at a complex w (the
+overlap kernel's) and the modified Bessel function K_nu.  0F1 is summed by
+its ascending series up to |w| = 1e8; beyond that it is
 Gamma(b) w^{(1-b)/2} I_{b-1}(2 sqrt w), with the scaled Bessel function from
 Amos's algorithm (ACM TOMS 12 (1986) 265, Algorithm 644,
 ``scipy.special.ive``).  K_nu, for a float or an array of arguments, comes
@@ -13,7 +13,7 @@ large nu), and from Hankel's series beyond Amos's argument limit x ~ 1.07e9.
 
 Magnitudes are wild (generalized factorials grow faster than n!), so the
 kernels work in log space: ``log_gamma``, ``pochhammer_log`` and ``bessel_k``
-return logarithms, and ``hyp0f1`` returns ln 0F1, complex for a complex w.
+return logarithms, and ``hyp0f1`` returns the complex ln 0F1.
 
 ``integrate_halfline``, adaptive quadrature over (0, inf), is kept as the
 independent reference the moment check's grid sum is tested against.
@@ -36,6 +36,7 @@ __all__ = [
     "SeriesResult",
     "log_gamma",
     "pochhammer_log",
+    "hyp0f1_term_log",
     "hyp0f1",
     "bessel_k",
     "integrate_halfline",
@@ -49,27 +50,54 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+#: least z whose Binet remainder is a series; its next term is below 1e-18 there
+STIRLING_MIN = 52.0
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _binet(z: float) -> float:
+    """Binet's mu(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2, z > 0: from
+    STIRLING_MIN on 1/(12z) - 1/(360z^3) + 1/(1260z^5) - 1/(1680z^7) (DLMF 5.11.1)."""
+    if z < STIRLING_MIN:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LN_2PI
+    r = 1.0 / (z * z)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / z
+
+
 def pochhammer_log(a: float, n: int) -> float:
-    """ln (a)_n = ln Gamma(a + n) - ln Gamma(a) for a > 0, integer n >= 0."""
-    if not a > 0:
-        raise ValueError(f"pochhammer_log requires a > 0, got {a}")
-    if n < 0:
-        raise ValueError(f"pochhammer_log requires n >= 0, got {n}")
+    """ln (a)_n = ln Gamma(a + n) - ln Gamma(a) for a > 0, integer n >= 0, in O(1).
+
+    The Stirling difference n ln a + (a + n - 1/2) log1p(n/a) - n + mu(a + n)
+    - mu(a); the lgamma difference cancels (by 1e-7 at a = 1e10).
+    """
+    if not (a > 0 and n >= 0 and n / a < math.inf):
+        raise ValueError(f"pochhammer_log requires a > 0, n >= 0 and a finite n/a, "
+                         f"got {a}, {n}")
+    return n * math.log(a) + (a + n - 0.5) * math.log1p(n / a) - n + (
+        _binet(a + n) - _binet(a))
+
+
+def hyp0f1_term_log(b: float, w: float, n: int) -> float:
+    """ln t_n = ln[w^n / ((b)_n n!)], term n of the series of 0F1(; b; w), b, w > 0.
+
+    In O(1) by Stirling's formula: n ln(w / (n (b + n))) - (b - 1/2) log1p(n/b)
+    + 2n - ln(2 pi n)/2 - mu(n) - mu(b + n) + mu(b).  Its parts are O(n);
+    those of n ln w - ln (b)_n - ln n! are O(n ln n) and cancel near the
+    terms' mode w ~ n (b + n), there losing about 1e-15 relative.
+    """
     if n == 0:
         return 0.0
-    if n < a:  # lgamma(a + n) - lgamma(a) cancels, by 1e-9 at a = 1e6
-        return n * math.log(a) + math.fsum(math.log1p(k / a) for k in range(1, n))
-    return math.lgamma(a + n) - math.lgamma(a)
+    if not (b > 0 and w > 0):
+        raise ValueError(f"hyp0f1_term_log requires b > 0 and w > 0, got {b}, {w}")
+    return (n * math.log(w / (n * (b + n))) - (b - 0.5) * math.log1p(n / b) + 2.0 * n
+            - 0.5 * math.log(n) - _HALF_LN_2PI - _binet(n) - _binet(b + n) + _binet(b))
 
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """ln of a series' sum, and the number of terms added (0 for a closed form).
+    """ln of a series' sum, ln|sum| + i arg(sum), and the terms added (0 for a closed form)."""
 
-    value is a float for a real sum, and ln|sum| + i arg(sum) for a complex one.
-    """
-
-    value: float | complex
+    value: complex
     terms_used: int
 
 
@@ -79,15 +107,16 @@ _HYP0F1_TAIL = 1e-15  # the series stops once a term is below this share of sum 
 _HYP0F1_MAX_TERMS = 100_000
 
 
-def hyp0f1(b: float, w: float | complex) -> SeriesResult:
-    """ln 0F1(; b; w) for b > 0 and a real w >= 0 or a complex w.
+def hyp0f1(b: float, w: complex) -> SeriesResult:
+    """ln 0F1(; b; w) = ln|F| + i arg F, arg in (-pi, pi], for b > 0 and a complex w.
 
-    Up to |w| = HYP0F1_SERIES_MAX the ascending series is summed, on floats
-    for a real w.  It stops at the first term t_n with |t_n| below 1e-15
-    times the sum of the |terms| so far while the term ratio is below 1/2,
-    so the tail left out is smaller than t_n.  Beyond it, where the series
-    needs some 2 sqrt|w| terms, DLMF 10.39.9 with Amos's scaled Bessel
-    function (``ive``, real or complex) gives
+    A real 0F1 is summed by ``models.QuadraticLadder`` on a window around its
+    terms' mode instead.  Up to |w| = HYP0F1_SERIES_MAX the series is summed.
+    It stops at the first term t_n with |t_n| below 1e-15 times the sum of
+    the |terms| so far while the term ratio is below 1/2, so the tail left
+    out is smaller than t_n.  Beyond it, where the series needs some
+    2 sqrt|w| terms, DLMF 10.39.9 with Amos's scaled complex Bessel function
+    (``ive``) gives
 
         ln 0F1(; b; w) = ln Gamma(b) + (1-b)/2 ln w
                          + ln ive(b-1, 2 sqrt w) + Re(2 sqrt w),
@@ -96,31 +125,19 @@ def hyp0f1(b: float, w: float | complex) -> SeriesResult:
     (2 sqrt|w| beyond Amos's argument limit) the series is tried, and past
     100,000 terms it raises ConvergenceError.
 
-    A real w, or a complex one on the non-negative real axis, gives a float
-    ln 0F1, accurate to about 1e-15 relative.  Any other complex w gives
-    ln|F| + i arg F with arg in (-pi, pi].  Past HYP0F1_SERIES_MAX ln|F| is
-    accurate to about 1e-13 relative; up to it the series cancels, so F is
-    accurate only to about 1e-13 times 0F1(; b; |w|), the scale of
-    sqrt(N_a N_b) in a coherent-state overlap.
+    Past HYP0F1_SERIES_MAX ln|F| is accurate to about 1e-13 relative; up to
+    it the series cancels off the positive axis, so F is accurate only to
+    about 1e-13 times 0F1(; b; |w|), the scale of sqrt(N_a N_b) in a
+    coherent-state overlap.
     """
     if not b > 0:
         raise ValueError(f"hyp0f1 requires b > 0, got {b}")
-    if isinstance(w, complex) and w.imag == 0.0 and w.real >= 0.0:
-        w = w.real
-    if isinstance(w, complex):
-        log, sqrt = cmath.log, cmath.sqrt
-    elif w >= 0:
-        log, sqrt = math.log, math.sqrt
-    else:
-        raise ValueError(f"hyp0f1 requires a real w >= 0 or a complex w, got {w}")
     if abs(w) > HYP0F1_SERIES_MAX:
-        s = 2.0 * sqrt(w)
+        s = 2.0 * cmath.sqrt(w)
         scaled = ive(b - 1.0, s)
         if 0.0 < abs(scaled) < math.inf:
-            value = math.lgamma(b) + 0.5 * (1.0 - b) * log(w) + log(scaled) + s.real
-            if isinstance(value, complex):
-                value = complex(value.real, math.remainder(value.imag, math.tau))
-            return SeriesResult(value, 0)
+            value = math.lgamma(b) + 0.5 * (1.0 - b) * cmath.log(w) + cmath.log(scaled) + s.real
+            return SeriesResult(complex(value.real, math.remainder(value.imag, math.tau)), 0)
     # accumulate linearly, rescaling both sums when they near overflow
     total = term = absum = 1.0
     log_scale, tail, twice_size = 0.0, _HYP0F1_TAIL, 2.0 * abs(w)
@@ -131,7 +148,7 @@ def hyp0f1(b: float, w: float | complex) -> SeriesResult:
         size = abs(term)
         absum += size
         if twice_size < d and size < tail * absum:  # the ratio |w|/d is below 1/2
-            return SeriesResult(log(total) + log_scale, n + 2)
+            return SeriesResult(cmath.log(total) + log_scale, n + 2)
         if absum > 1e250:
             total *= 1e-250
             term *= 1e-250

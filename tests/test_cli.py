@@ -421,6 +421,9 @@ def test_out_writes_file(tmp_path, capsys):
         # oscillator grids whose zeta spacing is too coarse for the low states
         ["oracle", "--lambda-prime", "1e-9", "--levels", "2"],
         ["oracle", "--lambda-prime", "1e-6", "--levels", "2"],
+        # a flag of the other model family
+        ["spectrum", "--model", "exp-mass", "--lambda-prime", "0.5"],
+        ["spectrum", "--mu", "3"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):
@@ -429,6 +432,22 @@ def test_bad_parameters_exit_two(args, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cfg, model", [
+    ({"mu": 2.0}, "nonlinear-osc"),
+    ({"lambda_prime": 0.2}, "exp-mass"),
+    ({"model": "exp-mass", "lambda_prime": 0.2}, None),
+])
+def test_config_key_of_the_other_family_exits_two(tmp_path, capsys, cfg, model):
+    # a config key counts as a given flag, so the chosen model refuses it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    args = ["spectrum", "--config", str(path)] + (["--model", model] if model else [])
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ['{"nmax": 2.5}', '{"nmax": null}', '{"alpha": [1]}'])
@@ -448,6 +467,9 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, text):
         ["fig1", "--zsq", "1e6"],
         ["stats", "--model", "exp-mass", "--mu", "1e-3", "--z", "1"],
         ["stats", "--lambda-prime", "0.1", "--z", "1e5"],
+        # 0F1 of order b = 2 + 1/q near 1e6 and 1e10, where Bessel I underflows
+        ["stats", "--lambda-prime", "1e-6", "--z", "2000"],
+        ["fig1", "--zsq", "1e7", "--lambda-primes", "1e-10", "--nmax", "1"],
     ],
 )
 def test_deep_labels_exit_zero(args, capsys):
@@ -461,6 +483,16 @@ def test_deep_labels_exit_zero(args, capsys):
         row = out.splitlines()[1].split(",")
         assert float(row[3]) == pytest.approx(1e6, rel=1e-10)
         assert row[6] == "Poissonian"
+
+
+def test_fig1_coefficient_holds_its_digits_at_tiny_labels(capsys):
+    # P_1 = |z|^2 = 1e-300: c_1 = exp(ln c_1) keeps about |ln c_1| 2.2e-16
+    # relative, with ln c_1 = -345 here
+    code, out = run(["fig1", "--zsq", "1e-300", "--nmax", "1"], capsys)
+    assert code == 0
+    p1 = float(out.splitlines()[2].split(",")[3])
+    assert out.splitlines()[2].startswith("harmonic,,1,")
+    assert p1 == pytest.approx(1e-300, rel=1e-13)
 
 
 def test_coherent_csv_gives_absolute_indices(capsys):

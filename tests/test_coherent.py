@@ -67,6 +67,16 @@ def test_norm_check_tolerance_scales_with_log_norm():
     assert st.log_norm > 9900.0
 
 
+@pytest.mark.parametrize("q, z_abs", [
+    (1e-10, 3.16e3), (1e-8, 3e3), (1e-6, 2e3), (1e-4, 1e3), (1e-2, 1e3), (0.1, 1e4), (5.0, 1e4),
+])
+def test_closed_norm_matches_step_product_at_depth(q, z_abs):
+    # the Gamma anchor of the 0F1 window against the step product of the
+    # coefficient window, for 0F1 orders b = 2 + 1/q up to 1e10
+    st = coherent.construct(nonlinear(q), z_abs)
+    assert abs(st.log_norm_closed - st.log_norm) <= 1e-13 * abs(st.log_norm)
+
+
 def test_coefficients_against_direct_sum():
     # rebuild the amplitudes from scratch: zeta^n / sqrt(rho_n N)
     spec = nonlinear(0.1)

@@ -94,7 +94,7 @@ def test_intertwining_relation(spec):
 @pytest.mark.parametrize("n", [0, 1, 3, 6])
 def test_eigenstate_by_raising_reconstructs_basis(spec, n):
     ops = fockrep.build(spec, 10)
-    v = fockrep.eigenstate_by_raising(ops, n)
+    v = fockrep.states_by_raising(ops, n)[n]
     e = np.zeros(10)
     e[n] = 1.0
     assert np.linalg.norm(v - e) < 1e-12
@@ -102,10 +102,8 @@ def test_eigenstate_by_raising_reconstructs_basis(spec, n):
 
 def test_raised_eigenstates_are_orthonormal(spec):
     ops = fockrep.build(spec, 12)
-    basis = np.column_stack(
-        [fockrep.eigenstate_by_raising(ops, n) for n in range(12)]
-    )
-    gram = basis.T @ basis
+    basis = fockrep.states_by_raising(ops, 11)
+    gram = basis @ basis.T
     assert np.max(np.abs(gram - np.eye(12))) < 1e-10
 
 
@@ -129,15 +127,15 @@ def test_one_raising_chain_equals_a_chain_per_state_bit_for_bit(spec):
     for n in range(12):
         alone = _raised_alone(ops, n)
         assert np.array_equal(states[n], alone)
-        assert np.array_equal(fockrep.eigenstate_by_raising(ops, n), alone)
+        assert np.array_equal(fockrep.states_by_raising(ops, n)[n], alone)
 
 
 def test_eigenstate_by_raising_bounds(spec):
     ops = fockrep.build(spec, 4)
     with pytest.raises(ValueError):
-        fockrep.eigenstate_by_raising(ops, 4)
+        fockrep.states_by_raising(ops, 4)
     with pytest.raises(ValueError):
-        fockrep.eigenstate_by_raising(ops, -1)
+        fockrep.states_by_raising(ops, -1)
 
 
 def test_operator_arrays_read_only(spec):
@@ -145,7 +143,3 @@ def test_operator_arrays_read_only(spec):
     for arr in (ops.lowering, ops.raising, ops.hamiltonian):
         with pytest.raises(ValueError):
             arr[0, 0] = 7.0
-
-
-def test_interior_dim(spec):
-    assert fockrep.build(spec, 5).interior_dim == 4

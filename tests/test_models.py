@@ -70,6 +70,10 @@ def test_make_model_rejects_mixed_parameters():
         models.make_model("exp-mass", mu=-1.0)
     with pytest.raises(ValueError):
         models.make_model("nonlinear-osc", nonlinearity=-0.1)
+    # each oscillator refuses exp-mass's mu, as exp-mass refuses a nonlinearity
+    for model_id in ("nonlinear-osc", "bounded-osc"):
+        with pytest.raises(ValueError, match="not mu"):
+            models.make_model(model_id, nonlinearity=0.1, mu=5.0)
 
 
 # ---------------------------------------------------------------- spectra

@@ -1,4 +1,8 @@
-"""Special-function layer: 0F1, the K_nu routes, half-line quadrature."""
+"""Special-function layer: 0F1 and its terms, the K_nu routes, half-line quadrature.
+
+A real 0F1 is the quadratic ladder's window sum where b > 2, and the complex
+kernel at complex(x, 0) below.
+"""
 
 import cmath
 import math
@@ -8,11 +12,13 @@ import pytest
 import scipy.special as sp
 
 from gcstates.exceptions import ConvergenceError, QuadratureError
+from gcstates.models import QuadraticLadder
 from gcstates.specfn import (
     AMOS_X_MAX,
     HYP0F1_SERIES_MAX,
     bessel_k,
     hyp0f1,
+    hyp0f1_term_log,
     integrate_halfline,
     log_gamma,
     pochhammer_log,
@@ -29,6 +35,13 @@ LNK_35_50 = -51.6114420540941755
 K_NU007_74 = 76.6542933125059149  # nu = 1 + 1/0.07
 POCH_HALF_2 = -0.287682072451780927
 POCH_B027_3 = 5.68547711536778566
+
+
+def real_0f1_log(b, x):
+    """ln 0F1(; b; x), x >= 0: the window of the ladder with 2 + 1/q = b, else the kernel."""
+    if b > 2.0:
+        return QuadraticLadder(1.0 / (b - 2.0), 1.0).norm_log(x / (b - 2.0))
+    return hyp0f1(b, complex(x, 0.0)).value.real
 
 
 def test_log_gamma_matches_lgamma():
@@ -52,9 +65,9 @@ def test_hyp0f1_contiguous_recurrence():
     # 0F1(b-1;x) - 0F1(b;x) = x/(b(b-1)) 0F1(b+1;x)
     for b in (2.0, 3.7, 9.0, 20.0):
         for x in (0.0, 0.5, 7.0, 100.0):
-            fm = math.exp(hyp0f1(b - 1.0, x).value)
-            f0 = math.exp(hyp0f1(b, x).value)
-            fp = math.exp(hyp0f1(b + 1.0, x).value)
+            fm = math.exp(real_0f1_log(b - 1.0, x))
+            f0 = math.exp(real_0f1_log(b, x))
+            fp = math.exp(real_0f1_log(b + 1.0, x))
             lhs = fm - f0
             rhs = x / (b * (b - 1.0)) * fp
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
@@ -79,10 +92,41 @@ def test_bessel_k_order_recurrence():
         (1.0, 5, math.lgamma(6.0)),
         # n < a: the Gamma difference would cancel 1e-9 away here
         (1e6 + 2.0, 2, math.log(1000002.0 * 1000003.0)),
+        # Stirling's difference; None takes 40-digit mpmath loggamma values
+        (1e10 + 2.0, 10**7, None),
+        (1e6 + 2.0, 3, None),
+        (52.0, 1, None),
+        (52.0, 10**7, None),
+        (1e8, 10**8, None),
     ],
 )
 def test_pochhammer_log(a, n, expected):
+    if expected is None:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            expected = float(mpmath.loggamma(mpmath.mpf(a) + n) - mpmath.loggamma(a))
     assert pochhammer_log(a, n) == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "b,w,n",
+    [
+        (3.0, 5.0, 1),
+        (2.2, 100.0, 51),
+        (12.0, 1e6, 700),
+        (2.5, 1e10, 97_000),  # near the mode, where the lgamma sum cancels
+        (60.0, 1e4, 60),
+        (1e10 + 2.0, 1e17, 9_970_000),
+    ],
+)
+def test_hyp0f1_term_log_against_mpmath(b, w, n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        b_mp = mpmath.mpf(b)
+        ref = n * mpmath.log(w) - mpmath.loggamma(b_mp + n) + mpmath.loggamma(b_mp)
+        ref = float(ref - mpmath.loggamma(n + 1))
+    assert hyp0f1_term_log(b, w, n) == pytest.approx(ref, rel=4e-15)
+    assert hyp0f1_term_log(b, w, 0) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -94,20 +138,18 @@ def test_pochhammer_log(a, n, expected):
     ],
 )
 def test_hyp0f1_frozen(b, x, expected):
-    res = hyp0f1(b, x)
-    assert math.exp(res.value) == pytest.approx(expected, rel=1e-14)
+    assert math.exp(real_0f1_log(b, x)) == pytest.approx(expected, rel=1e-14)
 
 
 def test_hyp0f1_log_scaling_large_argument():
-    res = hyp0f1(12.0, 1e6)
-    assert res.value == pytest.approx(LOG_F01_12_1E6, rel=1e-14)
+    assert real_0f1_log(12.0, 1e6) == pytest.approx(LOG_F01_12_1E6, rel=1e-14)
 
 
 @pytest.mark.parametrize("b", [1.0, 2.5, 12.0, 2.0 + 1.0 / 0.07])
 @pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 25.0, 400.0])
 def test_hyp0f1_against_scipy(b, x):
     # scipy evaluates the same function through an unrelated code path
-    ours = math.exp(hyp0f1(b, x).value)
+    ours = math.exp(real_0f1_log(b, x))
     assert ours == pytest.approx(sp.hyp0f1(b, x), rel=1e-12)
 
 
@@ -115,32 +157,35 @@ def test_hyp0f1_against_scipy(b, x):
 @pytest.mark.parametrize("x", [1e6, 1e8, 1e10])
 def test_hyp0f1_against_mpmath(b, x):
     mpmath = pytest.importorskip("mpmath")
-    res = hyp0f1(b, x)
     with mpmath.workdps(30):
         ref = float(mpmath.log(mpmath.hyp0f1(b, x)))
-    assert res.value == pytest.approx(ref, rel=1e-15)
-    # past the series range the Bessel form answers, with no series terms
-    assert (res.terms_used == 0) == (x > HYP0F1_SERIES_MAX)
+    assert real_0f1_log(b, x) == pytest.approx(ref, rel=1e-15)
 
 
 def test_hyp0f1_routes_agree_at_the_switch():
+    # the complex kernel's series and Bessel form meet the window's value
+    # on the real axis
     above = math.nextafter(HYP0F1_SERIES_MAX, math.inf)
     for b in (2.5, 12.0, 52.0):
-        series, bessel = hyp0f1(b, HYP0F1_SERIES_MAX), hyp0f1(b, above)
+        series = hyp0f1(b, complex(HYP0F1_SERIES_MAX, 0.0))
+        bessel = hyp0f1(b, complex(above, 0.0))
         assert series.terms_used > 0 and bessel.terms_used == 0
-        assert bessel.value == pytest.approx(series.value, rel=1e-14)
+        assert bessel.value.real == pytest.approx(series.value.real, rel=1e-14)
+        window = real_0f1_log(b, HYP0F1_SERIES_MAX)
+        assert series.value.real == pytest.approx(window, rel=1e-14)
 
 
 def test_hyp0f1_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        hyp0f1(0.0, 1.0)
-    with pytest.raises(ValueError):
-        hyp0f1(2.0, -1.0)
+        hyp0f1(0.0, complex(1.0, 0.0))
+    # the window refuses a negative x
+    with pytest.raises(ValueError, match="negative"):
+        real_0f1_log(5.0, -1.0)
     # 2 sqrt x is past Amos's argument limit, so ive is NaN, and the series
     # would need some 1e9 terms
-    assert math.isnan(sp.ive(1.0, 2e9))
+    assert cmath.isnan(sp.ive(1.0, complex(2e9, 0.0)))
     with pytest.raises(ConvergenceError):
-        hyp0f1(2.0, 1e18)
+        hyp0f1(2.0, complex(1e18, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -153,11 +198,11 @@ def test_hyp0f1_complex_against_scipy(w):
 
 
 def test_hyp0f1_complex_reduces_to_real():
-    # complex(x, 0) takes the float route, series or Bessel form alike
+    # on the real axis the series or Bessel form gives the window's ln 0F1
     for x in (0.0, 7.0, 1e4, HYP0F1_SERIES_MAX, 1e10):
-        real, cplx = hyp0f1(5.0, x), hyp0f1(5.0, complex(x, 0.0))
-        assert isinstance(cplx.value, float)
-        assert cplx == real
+        cplx = hyp0f1(5.0, complex(x, 0.0)).value
+        assert cplx.imag == 0.0
+        assert cplx.real == pytest.approx(real_0f1_log(5.0, x), rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("b", [2.5, 12.0, 1002.0])
