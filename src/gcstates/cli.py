@@ -11,15 +11,16 @@ oracle     finite-difference spectrum comparison
 verify     the gcstates.verify report as JSON; takes --out, not --format
 
 Exit codes: 0 success, 1 a verification-style check failed, 2 bad usage or
-parameters, 3 a numerical routine failed (a series did not converge, a
-quadrature could not certify its error, or two routes to one quantity
-disagreed), reported as one ``error:`` line on stderr.  ``verify`` instead
-records such failures as fail rows.  All floating-point text output carries
-15 significant digits and rows are emitted in a deterministic order, so
-byte-identical reruns are the norm.
+parameters (an unreadable --config or --out path among them), 3 a numerical
+routine failed (a series did not converge, a quadrature could not certify
+its error, or two routes to one quantity disagreed), reported as one
+``error:`` line on stderr.  ``verify`` instead records such failures as fail
+rows.  All floating-point text output carries 15 significant digits and rows
+are emitted in a deterministic order, so byte-identical reruns are the norm.
 
-Each parameter has one spelling: a model takes --alpha and --lambda-prime (q)
-or --mu, refusing the other family's (exit 2), and a label is one complex --z
+Each parameter has one spelling, and an option's prefix is refused (--conf
+is not --config, exit 2): a model takes --alpha and --lambda-prime (q) or
+--mu, refusing the other family's (exit 2), and a label is one complex --z
 (1.5, 0.5+0.3i).  A JSON config file (--config) may hold any option under its
 long name with - read as _ ({"model": "exp-mass", "mu": 2.0}), each key as
 a given flag; explicit flags win over the file, and a key that the chosen
@@ -259,6 +260,7 @@ def _add_out_opts(sub, default_format="csv") -> None:
 def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcstates",
+        allow_abbrev=False,
         description="Coherent states over shape-invariant position-dependent-"
         "mass spectra: construction, statistics, and verification.",
     )
@@ -266,7 +268,10 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
         "--config", default=None,
         help="JSON file of option defaults (explicit flags win)",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     s = subs.add_parser("spectrum", help="energy levels and ladder sequences")
     _add_model_opts(s)
@@ -391,7 +396,7 @@ def main(argv=None) -> int:
         if args.config_errors:
             raise ValueError("; ".join(args.config_errors))
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

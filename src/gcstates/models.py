@@ -126,9 +126,9 @@ class QuadraticLadder:
         return math.lgamma(n + 1) + (n * math.log(self.q) + pochhammer_log(self.b, n))
 
     def norm_log(self, x: float) -> float:
-        """ln N(x) = ln 0F1(; b; x/q) = ln t_lo + ln sum of the window's products."""
-        _, p, log_t_lo = self._window(x)
-        return log_t_lo + math.log(p.sum())
+        """ln N(x) = ln 0F1(; b; x/q) = ln t_lo (Stirling) + ln sum of the window's products."""
+        n, p = self._window(x)
+        return hyp0f1_term_log(self.b, x / self.q, int(n[0])) + math.log(p.sum())
 
     def kernel_log(self, w: complex) -> complex:
         """ln N(w) at the overlap's complex w = conj(zeta_a) zeta_b."""
@@ -136,20 +136,20 @@ class QuadraticLadder:
 
     def mean_var(self, x: float) -> tuple[float, float]:
         """(<n>, var n) of P_n ~ t_n on the window, the variance centred."""
-        n, p, _ = self._window(x)
+        n, p = self._window(x)
         total = p.sum()
         mean = float(n @ p) / total
         d = n - mean
         return mean, float((d * d) @ p) / total
 
     def _window(self, x: float):
-        """(n, p, ln t_lo): the 0F1 terms t_n = w^n / ((b)_n n!), w = x/q, around their mode.
+        """(n, p): the 0F1 terms t_n = w^n / ((b)_n n!), w = x/q, around their mode.
 
         n runs over lo..hi, 9 sqrt(n* + 1) + 30 terms each side of the mode
         n*, where the tails, no heavier than a Poisson's with its mode at n*,
         are below about 1e-17 of the total.  p holds the running products
-        t_n/t_lo of t_{n+1}/t_n = w/((b + n)(n + 1)); ln t_lo is the Gamma
-        form.  A negative x, or a mode past MOMENT_MODE_MAX, raises ValueError.
+        t_n/t_lo of t_{n+1}/t_n = w/((b + n)(n + 1)).  A negative x, or a
+        mode past MOMENT_MODE_MAX, raises ValueError.
         """
         b, w = self.b, x / self.q
         mode = 2.0 * w / (b - 1.0 + math.sqrt((b - 1.0) ** 2 + 4.0 * w)) if w >= 0 else -1.0
@@ -160,7 +160,7 @@ class QuadraticLadder:
         lo = max(int(mode) - half, 0)
         n = np.arange(lo, int(mode) + half + 1, dtype=float)
         p = np.cumprod(np.concatenate(([1.0], w / ((b + n[:-1]) * (n[:-1] + 1.0)))))
-        return n, p, hyp0f1_term_log(b, w, lo)
+        return n, p
 
     def weight_log(self, xi):
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""

@@ -8,23 +8,20 @@ a probe into a fail row (an internal invariant tripping is a finding, not a
 crash), and computes each family's status and worst value.  The library is
 called through module attributes, so wrapping one of them covers these calls.
 
-Within one run no probe result is computed twice.  The algebra, annihilation and
-moment probes read a model only through ``spec.ladder``, so each runs once
-per distinct (ladder, step_bias): nonlinear-osc and bounded-osc at one q
-close the same ladder, and the second of them gets the first one's rows
-under its own model name.  A probe that raised is not shared; the next
-model with that key runs it again.  The spectrum family, whose oracle reads
-the model id, makes one grid solve per distinct Hamiltonian instead: models
-whose ``oracle.build_problem`` keys agree (the same two oscillators are one
-problem in the oracle's coordinate) share the levels of that run's solve,
-and each model is compared with its own analytic spectrum.  Nothing is kept
-from one run to the next.
+Within one run no probe result is computed twice.  The algebra, annihilation
+and moment probes read a model only through ``spec.ladder``, so ``run``
+keeps each one's rows per (ladder, step_bias): nonlinear-osc and bounded-osc
+at one q close the same ladder, and the second gets the first one's rows
+under its own model name.  A probe that raised keeps nothing, so the next
+model with that key runs it again.  The spectrum oracle reads the model id,
+so its rows are never shared by ladder; models whose grid problems share an
+``oracle.build_problem`` key share that run's one solve, and each is
+compared with its own analytic spectrum.  Nothing is kept between runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -128,61 +125,6 @@ def _levels(spec, points, solves):
         yield f"level n={comp.n}", comp.rel_error, tol, comp.rel_error < tol
 
 
-def _per_ladder(probe):
-    """probe, run once per distinct (ladder, step_bias) of the models it sees.
-
-    The first model with a key runs the probe and its rows are kept for the
-    later ones.  A probe that raises keeps nothing: the next model with that
-    key runs it again, so each fail row names its own model.
-    """
-    rows = {}
-
-    def shared(spec):
-        key = (spec.ladder, spec.step_bias)
-        if key in rows:
-            yield from rows[key]
-            return
-        kept = []
-        for row in probe(spec):
-            kept.append(row)
-            yield row
-        rows[key] = kept
-
-    return shared
-
-
-def _table(nmax: int, points: int) -> dict:
-    """Family -> (check_name, [(item naming the probe's fail row, probe)]).
-
-    The algebra, annihilation and moment probes read a model only through
-    its ladder, so each runs once per distinct ladder and the spectrum probe
-    once per grid problem key.  The shared rows and solves live in this
-    table's own dicts, so they last one run.
-    """
-    ladder_only = {
-        "algebra": ("spectral_algebra", [
-            ("ladder identities", _identities),
-            ("rho product vs closed form", _rho_product),
-            ("operator checks", _operators),
-        ]),
-        "annihilation": ("annihilation", [
-            (f"residual |z|={z}", functools.partial(_residual, z_abs=z))
-            for z in (0.5, 1.5, 3.0)
-        ]),
-        "moments": ("moments", [
-            ("moment quadrature", functools.partial(_moments, nmax=nmax)),
-        ]),
-    }
-    table = {
-        family: (check_name, [(item, _per_ladder(probe)) for item, probe in probes])
-        for family, (check_name, probes) in ladder_only.items()
-    }
-    table["spectrum"] = ("spectrum", [
-        ("finite-difference solve", functools.partial(_levels, points=points, solves={})),
-    ])
-    return table
-
-
 def run(only=None, corrupt: bool = False, nmax: int = 8, points: int = 2000) -> list[dict]:
     """The ``gcstates verify`` report for the families in ``only`` (default all).
 
@@ -197,32 +139,53 @@ def run(only=None, corrupt: bool = False, nmax: int = 8, points: int = 2000) -> 
         raise ValueError(f"nmax must be an integer in 0..12, got {nmax}")
     if points != int(points) or points < LEVELS:
         raise ValueError(f"points must be an integer >= {LEVELS}, got {points}")
+    solves = {}
+    # family -> (check_name, rows shared per ladder, [(item naming the fail row, probe)])
+    table = {
+        "algebra": ("spectral_algebra", True, [
+            ("ladder identities", _identities),
+            ("rho product vs closed form", _rho_product),
+            ("operator checks", _operators),
+        ]),
+        "annihilation": ("annihilation", True, [
+            (f"residual |z|={z}", lambda spec, z=z: _residual(spec, z))
+            for z in (0.5, 1.5, 3.0)
+        ]),
+        "moments": ("moments", True, [
+            ("moment quadrature", lambda spec: _moments(spec, nmax)),
+        ]),
+        "spectrum": ("spectrum", False, [
+            ("finite-difference solve", lambda spec: _levels(spec, points, solves)),
+        ]),
+    }
     specs = default_specs(corrupt)
     report = []
-    for family, (check_name, probes) in _table(nmax, points).items():
+    for family, (check_name, shared, probes) in table.items():
         if only and family not in only:
             continue
-        details = []
-        worst = 0.0
+        details, kept = [], {}
         for spec in specs:
             for item, probe in probes:
+                key = (item, spec.ladder, spec.step_bias)
+                if key in kept:
+                    details += [dict(row, model=spec.id) for row in kept[key]]
+                    continue
+                rows = []
                 try:
                     for name, value, threshold, passed in probe(spec):
-                        details.append(
-                            {"model": spec.id, "item": name, "value": value,
-                             "threshold": threshold, "passed": passed}
-                        )
-                        worst = max(worst, value)
+                        rows.append({"model": spec.id, "item": name, "value": value,
+                                     "threshold": threshold, "passed": passed})
                 except _CHECK_ERRORS as exc:
-                    details.append(
-                        {"model": spec.id, "item": item,
-                         "error": f"{type(exc).__name__}: {exc}", "passed": False}
-                    )
-                    worst = max(worst, 1.0)
+                    rows.append({"model": spec.id, "item": item,
+                                 "error": f"{type(exc).__name__}: {exc}", "passed": False})
+                else:
+                    if shared:
+                        kept[key] = rows
+                details += rows
         report.append({
             "check_name": check_name,
             "status": "pass" if all(d["passed"] for d in details) else "fail",
-            "max_rel_error": worst,
+            "max_rel_error": max([0.0, *(d.get("value", 1.0) for d in details)]),
             "details": details,
         })
     return report

@@ -450,7 +450,9 @@ def test_config_key_of_the_other_family_exits_two(tmp_path, capsys, cfg, model):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", ['{"nmax": 2.5}', '{"nmax": null}', '{"alpha": [1]}'])
+@pytest.mark.parametrize(
+    "text", ['{"nmax": 2.5}', '{"nmax": null}', '{"alpha": [1]}', '{"model": "box"}'],
+)
 def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -459,6 +461,53 @@ def test_config_rejects_values_of_the_wrong_type(tmp_path, capsys, text):
     assert captured.out == ""
     assert captured.err.startswith("error: config key ")
     assert captured.err.count("\n") == 1
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert cli.main(["spectrum", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", "error: config file must hold a JSON object\n")
+
+
+def test_config_equals_form_applies_its_values(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"nmax": 1}')
+    code, out = run(["spectrum", f"--config={cfg}"], capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["n", "0", "1"]
+
+
+def test_unreadable_paths_exit_two(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for args in (
+        ["spectrum", "--config", str(missing / "cfg.json")],
+        ["spectrum", "--config", str(tmp_path)],
+        ["spectrum", "--out", str(missing / "x.csv")],
+        ["verify", "--only", "algebra", "--out", str(tmp_path)],
+    ):
+        assert cli.main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_nonpositive_alpha_exits_two(alpha, capsys):
+    assert cli.main(["spectrum", "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: alpha must be positive, got {float(alpha)}\n"
+
+
+def test_oracle_params_column_names_the_exp_mass_parameters(capsys):
+    args = ["oracle", "--model", "exp-mass", "--alpha", "2", "--levels", "2", "--points", "500"]
+    code, out = run(args, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [
+        ["exp-mass", "mu=1;alpha=2", "0"], ["exp-mass", "mu=1;alpha=2", "1"],
+    ]
 
 
 @pytest.mark.parametrize(
@@ -538,7 +587,10 @@ def test_unknown_model_exits_two_via_argparse():
     ["coherent", "--z-re", "1"],
     ["stats", "--z-im", "1"],
     ["oracle", "--pad", "1e-3"],
-], ids=["lambda-tilde", "nonlinearity", "z-re", "z-im", "pad"])
+    # nor is an option's prefix: --conf once read as --config, but never loaded its file
+    ["spectrum", "--conf", "n1.json"],
+    ["spectrum", "--nm", "2"],
+], ids=["lambda-tilde", "nonlinearity", "z-re", "z-im", "pad", "conf", "nm"])
 def test_second_spellings_exit_two_via_argparse(args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(args)
