@@ -3,7 +3,7 @@
 The package builds lowering-operator eigenstates over shape-invariant
 spectra, computes their photon statistics and resolution-of-unity measures,
 and cross-checks every analytic claim against independent numerical routes
-(brute-force series, half-line quadrature, and a finite-difference
+(brute-force series, a fixed-grid moment sum, and a finite-difference
 eigensolver that never sees the ladder algebra).
 """
 

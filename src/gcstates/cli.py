@@ -19,8 +19,9 @@ rows.  All floating-point text output carries 15 significant digits and rows
 are emitted in a deterministic order, so byte-identical reruns are the norm.
 
 Each parameter has one spelling, and an option's prefix is refused (--conf
-is not --config, exit 2): a model takes --alpha and --lambda-prime (q) or
---mu, refusing the other family's (exit 2), and a label is one complex --z
+is not --config, exit 2): a model takes --lambda-prime (q) or --mu, refusing
+the other family's (exit 2), spectrum and oracle also take the energy scale
+--alpha, which nothing else reads, and a label is one complex --z
 (1.5, 0.5+0.3i).  A JSON config file (--config) may hold any option under its
 long name with - read as _ ({"model": "exp-mass", "mu": 2.0}), each key as
 a given flag; explicit flags win over the file, and a key that the chosen
@@ -74,7 +75,8 @@ def _spec_from(args) -> models.ModelSpec:
     exp = args.model == "exp-mass"
     q = 0.1 if args.lambda_prime is None and not exp else args.lambda_prime
     mu = 1.0 if args.mu is None and exp else args.mu
-    return models.make_model(args.model, alpha=args.alpha, nonlinearity=q, mu=mu)
+    alpha = getattr(args, "alpha", 1.0)  # only spectrum and oracle read the energies
+    return models.make_model(args.model, alpha=alpha, nonlinearity=q, mu=mu)
 
 
 def _emit(text: str, out: str) -> None:
@@ -165,9 +167,7 @@ def cmd_fig1(args) -> int:
         raise ValueError(f"zsq must be positive and finite, got {target}")
     if args.nmax < 0:
         raise ValueError(f"nmax must be nonnegative, got {args.nmax}")
-    harmonic = models.harmonic_limit(
-        models.make_model("nonlinear-osc", alpha=args.alpha, nonlinearity=0.1)
-    )
+    harmonic = models.harmonic_limit(models.make_model("nonlinear-osc", nonlinearity=0.1))
 
     def p_n(spec, z_abs):
         c = coherent_mod.coeffs_on(coherent_mod.construct(spec, z_abs), 0, args.nmax + 1)
@@ -175,7 +175,7 @@ def cmd_fig1(args) -> int:
 
     panels = [("harmonic", None, p_n(harmonic, math.sqrt(target)))]
     for lam in args.lambda_primes:
-        spec = models.make_model("nonlinear-osc", alpha=args.alpha, nonlinearity=lam)
+        spec = models.make_model("nonlinear-osc", nonlinearity=lam)
         panels.append(("nonlinear", lam, p_n(spec, stats.match_mean_abs_z(spec, target))))
     header = ("panel", "lambda_prime", "n", "P_n")
     if args.format == "json":
@@ -227,14 +227,15 @@ def cmd_verify(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_model_opts(sub) -> None:
+def _add_model_opts(sub, alpha=False) -> None:
     sub.add_argument(
         "--model",
         choices=models.MODEL_IDS,
         default="nonlinear-osc",
         help="built-in model (default nonlinear-osc)",
     )
-    sub.add_argument("--alpha", type=float, default=1.0, help="oscillator scale alpha")
+    if alpha:
+        sub.add_argument("--alpha", type=float, default=1.0, help="energy scale alpha")
     sub.add_argument(
         "--lambda-prime",
         type=float,
@@ -274,7 +275,7 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     )
 
     s = subs.add_parser("spectrum", help="energy levels and ladder sequences")
-    _add_model_opts(s)
+    _add_model_opts(s, alpha=True)
     _add_out_opts(s)
     s.add_argument("--nmax", type=int, default=10, help="highest level")
     s.set_defaults(func=cmd_spectrum)
@@ -301,7 +302,6 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
         "fig1", help="number distributions at matched mean occupation"
     )
     _add_out_opts(s)
-    s.add_argument("--alpha", type=float, default=1.0)
     s.add_argument("--zsq", type=float, default=10.0, help="harmonic |z|^2")
     s.add_argument(
         "--lambda-primes", dest="lambda_primes", nargs="+", type=float,
@@ -317,7 +317,7 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_moments)
 
     s = subs.add_parser("oracle", help="finite-difference spectrum comparison")
-    _add_model_opts(s)
+    _add_model_opts(s, alpha=True)
     _add_out_opts(s)
     s.add_argument("--levels", type=int, default=4, help="levels to compare")
     s.add_argument("--points", type=int, default=2000, help="grid points")

@@ -2,11 +2,7 @@
 
 
 class ConvergenceError(RuntimeError):
-    """A series failed to reach the requested tolerance within its budget."""
-
-    def __init__(self, message, terms_used=None):
-        super().__init__(message)
-        self.terms_used = terms_used
+    """A numerical routine could not reach an answer within its range or budget."""
 
 
 class QuadratureError(RuntimeError):

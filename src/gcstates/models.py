@@ -72,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ConsistencyError
-from .specfn import bessel_k, hyp0f1, hyp0f1_term_log, log_gamma, pochhammer_log
+from .specfn import bessel_k, hyp0f1, hyp0f1_term_log, hyp0f1_terms, log_gamma, pochhammer_log
 
 __all__ = [
     "MODEL_IDS",
@@ -89,10 +89,6 @@ __all__ = [
 ]
 
 MODEL_IDS = ("nonlinear-osc", "bounded-osc", "exp-mass")
-
-#: deepest mode of the 0F1 window behind QuadraticLadder's ln N, <n> and var
-MOMENT_MODE_MAX = 1e8
-
 
 @dataclass(frozen=True)
 class QuadraticLadder:
@@ -127,7 +123,7 @@ class QuadraticLadder:
 
     def norm_log(self, x: float) -> float:
         """ln N(x) = ln 0F1(; b; x/q) = ln t_lo (Stirling) + ln sum of the window's products."""
-        n, p = self._window(x)
+        n, p = self._terms(x)
         return hyp0f1_term_log(self.b, x / self.q, int(n[0])) + math.log(p.sum())
 
     def kernel_log(self, w: complex) -> complex:
@@ -136,31 +132,17 @@ class QuadraticLadder:
 
     def mean_var(self, x: float) -> tuple[float, float]:
         """(<n>, var n) of P_n ~ t_n on the window, the variance centred."""
-        n, p = self._window(x)
+        n, p = self._terms(x)
         total = p.sum()
         mean = float(n @ p) / total
         d = n - mean
         return mean, float((d * d) @ p) / total
 
-    def _window(self, x: float):
-        """(n, p): the 0F1 terms t_n = w^n / ((b)_n n!), w = x/q, around their mode.
-
-        n runs over lo..hi, 9 sqrt(n* + 1) + 30 terms each side of the mode
-        n*, where the tails, no heavier than a Poisson's with its mode at n*,
-        are below about 1e-17 of the total.  p holds the running products
-        t_n/t_lo of t_{n+1}/t_n = w/((b + n)(n + 1)).  A negative x, or a
-        mode past MOMENT_MODE_MAX, raises ValueError.
-        """
-        b, w = self.b, x / self.q
-        mode = 2.0 * w / (b - 1.0 + math.sqrt((b - 1.0) ** 2 + 4.0 * w)) if w >= 0 else -1.0
-        if not 0.0 <= mode <= MOMENT_MODE_MAX:
-            raise ValueError(f"x = {x:g} is negative or puts the 0F1 window's mode "
-                             f"past n = {MOMENT_MODE_MAX:g}")
-        half = int(9.0 * math.sqrt(mode + 1.0)) + 30
-        lo = max(int(mode) - half, 0)
-        n = np.arange(lo, int(mode) + half + 1, dtype=float)
-        p = np.cumprod(np.concatenate(([1.0], w / ((b + n[:-1]) * (n[:-1] + 1.0)))))
-        return n, p
+    def _terms(self, x: float):
+        """specfn.hyp0f1_terms at w = x/q; a negative x raises ValueError."""
+        if x < 0:
+            raise ValueError(f"x = {x:g} is negative")
+        return hyp0f1_terms(self.b, x / self.q)
 
     def weight_log(self, xi):
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""

@@ -1,15 +1,18 @@
 """Special-function kernels.
 
 Everything downstream leans on four primitives: the log-gamma function, the
-log-Pochhammer symbol, the confluent limit function 0F1 at a complex w (the
-overlap kernel's) and the modified Bessel function K_nu.  0F1 is summed by
-its ascending series up to |w| = 1e8; beyond that it is
+log-Pochhammer symbol, the confluent limit function 0F1 and the modified
+Bessel function K_nu.  Every 0F1, real (a ladder's ln N, <n> and var) or
+complex (the overlap kernel's), is summed on one window of its series terms
+around their mode (``hyp0f1_terms``), anchored by Stirling's formula for
+the first term.  For a complex |w| past 1e8 ``hyp0f1`` instead takes
 Gamma(b) w^{(1-b)/2} I_{b-1}(2 sqrt w), with the scaled Bessel function from
 Amos's algorithm (ACM TOMS 12 (1986) 265, Algorithm 644,
-``scipy.special.ive``).  K_nu, for a float or an array of arguments, comes
-from the same algorithm (``kve``) where it is finite, from forward
-recurrence in the order where K_nu itself overflows a double (small x at
-large nu), and from Hankel's series beyond Amos's argument limit x ~ 1.07e9.
+``scipy.special.ive``), wherever that is finite.  K_nu, for a float or an
+array of arguments, comes from the same algorithm (``kve``) where it is
+finite, from forward recurrence in the order where K_nu itself overflows a
+double (small x at large nu), and from Hankel's series beyond Amos's
+argument limit x ~ 1.07e9.
 
 Magnitudes are wild (generalized factorials grow faster than n!), so the
 kernels work in log space: ``log_gamma``, ``pochhammer_log`` and ``bessel_k``
@@ -37,6 +40,7 @@ __all__ = [
     "log_gamma",
     "pochhammer_log",
     "hyp0f1_term_log",
+    "hyp0f1_terms",
     "hyp0f1",
     "bessel_k",
     "integrate_halfline",
@@ -101,33 +105,54 @@ class SeriesResult:
     terms_used: int
 
 
-#: largest |w| hyp0f1 sums by its series; beyond it the Bessel form
+#: largest |w| at which hyp0f1 sums the window; beyond it the Bessel form
 HYP0F1_SERIES_MAX = 1e8
-_HYP0F1_TAIL = 1e-15  # the series stops once a term is below this share of sum |terms|
-_HYP0F1_MAX_TERMS = 100_000
+
+#: deepest mode of a 0F1 term window
+HYP0F1_MODE_MAX = 1e8
+
+
+def hyp0f1_terms(b: float, w: complex):
+    """(n, p): the terms t_n = w^n / ((b)_n n!) of 0F1(; b; w) around the mode of |t_n|.
+
+    n runs over lo..hi, 9 sqrt(n* + 1) + 30 terms each side of the mode n*
+    of |t_n|, where the tails, no heavier than a Poisson's with its mode at
+    n*, are below about 1e-17 of the sum of |t_n|.  p holds the running
+    products t_n/t_lo of t_{n+1}/t_n = w/((b + n)(n + 1)), real for a real w
+    and complex for a complex one; ln t_lo is hyp0f1_term_log(b, |w|, lo)
+    + i lo arg w.  A mode past HYP0F1_MODE_MAX, or a NaN w, raises ValueError.
+    """
+    size = abs(w)
+    # the positive root of n (n + |b - 1|) = |w|; `or 1.0` spares 0/0 at w = 0, b = 1
+    mode = 2.0 * size / ((abs(b - 1.0) + math.sqrt((b - 1.0) ** 2 + 4.0 * size)) or 1.0)
+    if not mode <= HYP0F1_MODE_MAX:
+        raise ValueError(f"|w| = {size:g} puts the 0F1 window's mode past "
+                         f"n = {HYP0F1_MODE_MAX:g}")
+    half = int(9.0 * math.sqrt(mode + 1.0)) + 30
+    lo = max(int(mode) - half, 0)
+    n = np.arange(lo, int(mode) + half + 1, dtype=float)
+    p = np.cumprod(np.concatenate(([1.0], w / ((b + n[:-1]) * (n[:-1] + 1.0)))))
+    return n, p
 
 
 def hyp0f1(b: float, w: complex) -> SeriesResult:
     """ln 0F1(; b; w) = ln|F| + i arg F, arg in (-pi, pi], for b > 0 and a complex w.
 
-    A real 0F1 is summed by ``models.QuadraticLadder`` on a window around its
-    terms' mode instead.  Up to |w| = HYP0F1_SERIES_MAX the series is summed.
-    It stops at the first term t_n with |t_n| below 1e-15 times the sum of
-    the |terms| so far while the term ratio is below 1/2, so the tail left
-    out is smaller than t_n.  Beyond it, where the series needs some
-    2 sqrt|w| terms, DLMF 10.39.9 with Amos's scaled complex Bessel function
-    (``ive``) gives
+    Up to |w| = HYP0F1_SERIES_MAX it sums the window of hyp0f1_terms:
+    ln t_lo + ln sum p, with terms_used the window's length.  Beyond it,
+    DLMF 10.39.9 with Amos's scaled complex Bessel function (``ive``) gives
 
         ln 0F1(; b; w) = ln Gamma(b) + (1-b)/2 ln w
                          + ln ive(b-1, 2 sqrt w) + Re(2 sqrt w),
 
     reported with terms_used = 0.  Where ive is not a non-zero finite number
-    (2 sqrt|w| beyond Amos's argument limit) the series is tried, and past
-    100,000 terms it raises ConvergenceError.
+    (it underflows at large order b >> |w|^(1/2), and is NaN past Amos's
+    argument limit) the window is summed instead, and a window whose mode
+    lies past HYP0F1_MODE_MAX raises ConvergenceError.
 
-    Past HYP0F1_SERIES_MAX ln|F| is accurate to about 1e-13 relative; up to
-    it the series cancels off the positive axis, so F is accurate only to
-    about 1e-13 times 0F1(; b; |w|), the scale of sqrt(N_a N_b) in a
+    By ive, ln|F| is accurate to about 1e-13 relative.  The window's sum
+    cancels off the positive axis, so there F is accurate only to about
+    1e-13 times 0F1(; b; |w|), the scale of sqrt(N_a N_b) in a
     coherent-state overlap.
     """
     if not b > 0:
@@ -138,26 +163,15 @@ def hyp0f1(b: float, w: complex) -> SeriesResult:
         if 0.0 < abs(scaled) < math.inf:
             value = math.lgamma(b) + 0.5 * (1.0 - b) * cmath.log(w) + cmath.log(scaled) + s.real
             return SeriesResult(complex(value.real, math.remainder(value.imag, math.tau)), 0)
-    # accumulate linearly, rescaling both sums when they near overflow
-    total = term = absum = 1.0
-    log_scale, tail, twice_size = 0.0, _HYP0F1_TAIL, 2.0 * abs(w)
-    for n in range(_HYP0F1_MAX_TERMS):
-        d = (b + n) * (n + 1)
-        term *= w / d
-        total += term
-        size = abs(term)
-        absum += size
-        if twice_size < d and size < tail * absum:  # the ratio |w|/d is below 1/2
-            return SeriesResult(cmath.log(total) + log_scale, n + 2)
-        if absum > 1e250:
-            total *= 1e-250
-            term *= 1e-250
-            absum *= 1e-250
-            log_scale += 250.0 * math.log(10.0)
-    raise ConvergenceError(
-        f"hyp0f1({b}, {w}) did not converge within {_HYP0F1_MAX_TERMS} terms",
-        terms_used=_HYP0F1_MAX_TERMS,
-    )
+    try:
+        n, p = hyp0f1_terms(b, w)
+    except ValueError as exc:
+        raise ConvergenceError(f"hyp0f1({b}, {w}): ive fails and {exc}") from None
+    lo = int(n[0])
+    # math.atan2, not cmath.phase, which overflows on a subnormal imaginary part
+    value = (hyp0f1_term_log(b, abs(w), lo) + 1j * lo * math.atan2(w.imag, w.real)
+             + cmath.log(p.sum()))
+    return SeriesResult(complex(value.real, math.remainder(value.imag, math.tau)), len(n))
 
 
 #: Amos's argument limit (2**31 - 1)/2 ~ 1.07e9: kve and ive are NaN beyond it

@@ -590,7 +590,11 @@ def test_unknown_model_exits_two_via_argparse():
     # nor is an option's prefix: --conf once read as --config, but never loaded its file
     ["spectrum", "--conf", "n1.json"],
     ["spectrum", "--nm", "2"],
-], ids=["lambda-tilde", "nonlinearity", "z-re", "z-im", "pad", "conf", "nm"])
+    # nor is an option a subcommand never reads: only spectrum and oracle take --alpha
+    ["stats", "--alpha", "2"],
+    ["fig1", "--alpha", "2"],
+], ids=["lambda-tilde", "nonlinearity", "z-re", "z-im", "pad", "conf", "nm", "stats-alpha",
+        "fig1-alpha"])
 def test_second_spellings_exit_two_via_argparse(args, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(args)

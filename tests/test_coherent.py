@@ -258,6 +258,18 @@ def test_overlap_of_deep_quadratic_neighbours(shift):
     assert abs(coherent.overlap(a, b)) <= 1.0
 
 
+def test_overlap_at_large_order_where_ive_underflows():
+    # b = 2 + 1/q ~ 1e6 against 2 sqrt|w| ~ 4e6: ive underflows to 0, so the
+    # kernel is the 0F1 term window, some 22,500 terms around n ~ 1.6e6;
+    # the frozen value is the coefficient sum, which never calls hyp0f1
+    spec = nonlinear(1e-6)
+    a = coherent.construct(spec, 2000.0)
+    b = coherent.construct(spec, cmath.rect(2000.0, 1e-3))
+    got = coherent.overlap(a, b)
+    assert got == pytest.approx(-0.6056443742431419 - 0.11056196962848205j, abs=1e-12)
+    assert abs(coherent.overlap_kernel(a, b) - got) <= 1e-8
+
+
 def test_overlap_requires_same_model():
     a = coherent.construct(nonlinear(0.1), 1.0)
     b = coherent.construct(nonlinear(0.27), 1.0)

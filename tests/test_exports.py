@@ -1,5 +1,5 @@
 """Public names: the package's star import and every module's ``__all__``;
-and no module-level import or private function or class goes unused."""
+and no module-level import, private function, class or constant goes unused."""
 
 import ast
 import collections
@@ -27,7 +27,7 @@ def test_every_name_in_a_module_all_resolves(name):
     assert missing == []
 
 
-# no linter runs on the package, so these two ast checks stand in for one
+# no linter runs on the package, so these ast checks stand in for one
 SOURCES = {
     path.stem: ast.parse(path.read_text())
     for path in pathlib.Path(gcstates.__file__).parent.glob("*.py")
@@ -69,5 +69,23 @@ def test_every_private_function_and_class_is_referenced():
         and node.name.startswith("_") and not node.name.startswith("__")
         # a reference inside its own body (recursion) does not count
         and everywhere[node.name] == list(_references(node)).count(node.name)
+    ]
+    assert unreferenced == []
+
+
+def test_every_private_constant_is_referenced():
+    # a module-level _NAME = ... that no load, attribute or import names
+    trees = SOURCES.values()
+    loads = collections.Counter(ref for tree in trees for ref in _references(tree))
+    loads.subtract(node.id for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    unreferenced = [
+        f"{module}.{target.id}"
+        for module, tree in sorted(SOURCES.items()) for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and target.id.startswith("_") and not target.id.startswith("__")
+        and loads[target.id] <= 0
     ]
     assert unreferenced == []

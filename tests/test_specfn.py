@@ -228,6 +228,31 @@ def test_hyp0f1_complex_against_mpmath(b, size, arg):
 
 
 @pytest.mark.parametrize(
+    "size,arg",
+    [(size, arg) for size in (1e-3, 1e3, 1e6) for arg in (0.3, 1.0, 3.0, math.pi - 1e-3)]
+    # past the series range, where ive(b - 1, 2 sqrt w) underflows at this order
+    + [(1.2e8, 0.3), (1.2e8, 1.0)],
+)
+def test_hyp0f1_window_at_large_order_against_mpmath(size, arg):
+    # b = 1e4: F to 1e-13 times 0F1(b; |w|), as the window promises at every
+    # order; larger |w| at this order takes mpmath seconds to minutes
+    mpmath = pytest.importorskip("mpmath")
+    b, w = 1e4, cmath.rect(size, arg)
+    res = hyp0f1(b, w)
+    assert res.terms_used > 0 and -math.pi < res.value.imag <= math.pi
+    with mpmath.workdps(30):
+        ref = mpmath.hyp0f1(b, mpmath.mpc(w.real, w.imag), maxterms=10**5)
+        got = mpmath.exp(mpmath.mpc(res.value.real, res.value.imag))
+        assert abs(got - ref) <= 1e-13 * mpmath.hyp0f1(b, size, maxterms=10**5)
+
+
+def test_hyp0f1_takes_a_subnormal_imaginary_part():
+    # cmath.phase raises OverflowError on this w; the window's anchor does not
+    w = complex(2000.0, 1.5e-323)
+    assert hyp0f1(3.0, w).value == hyp0f1(3.0, complex(w.real, 0.0)).value
+
+
+@pytest.mark.parametrize(
     "nu,x,expected_log",
     [
         (0.0, 1.0, math.log(K0_1)),

@@ -219,7 +219,7 @@ def test_match_mean_bisects_when_a_step_leaves_the_bracket():
 
 @pytest.mark.parametrize("target", [1e16, 1e200])
 def test_match_mean_refuses_unreachable_target(target):
-    # the matched mode would lie past MOMENT_MODE_MAX, or x past the doubles
+    # the matched mode would lie past specfn.HYP0F1_MODE_MAX, or x past the doubles
     with pytest.raises(ValueError):
         stats.match_mean_abs_z(nonlinear(2.0), target)
 
