@@ -19,7 +19,12 @@ their natural dimensionless coordinates and the eigenvalues rescaled:
 * harmonic reference: p = 1/2, v = zeta^2/2, walls where v = 40;
 * exp-mass (y = mu x, energies in units mu^2): p = e^y,
   v = ((alpha^2 - 1) e^y + e^-y)/4 - (alpha + 1)/2.  The left wall sits
-  where v has climbed 40 units above its minimum.  On the right the mass
+  where v has climbed 40 units above its minimum.  Both 40-unit points are
+  exact: v = v_min + 40 is the quadratic (alpha^2 - 1) u^2 - 2c u + 1 = 0 in
+  u = e^y, with c = 2(v_min + 40) + alpha + 1.  With s = sqrt(alpha^2 - 1),
+  v_min = (s - alpha - 1)/2, so c = s + 80 and c^2 - s^2 = 80(c + s), and
+  the roots y = -ln(c + sqrt(80(c + s))) and ln((c + sqrt(80(c + s)))/s^2)
+  involve no cancellation.  On the right the mass
   vanishes and bound states decay only at the finite rate
   kappa = sqrt(alpha^2 - 1)/2 per unit y, so the wall is pushed a further
   3/kappa beyond the 40-unit point; without that extension the wall shift
@@ -65,8 +70,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from . import models
 from .models import ModelSpec
@@ -180,7 +183,8 @@ def build_problem(spec: ModelSpec, points: int = 2000) -> GridEigenproblem:
 
     The singular-mass models' Dirichlet walls sit PAD inside their mass
     singularities.  A grid the bisection cannot resolve to LEVEL_TOL raises
-    ValueError.
+    ValueError, as does an exp-mass alpha whose alpha^2 - 1 overflows or
+    whose walls are too close for the points to be distinct doubles.
     """
     if points != int(points) or points < 3:
         raise ValueError(f"points must be an integer >= 3, got {points}")
@@ -220,23 +224,32 @@ def build_problem(spec: ModelSpec, points: int = 2000) -> GridEigenproblem:
             "exp-mass spectra can only be cross-checked for alpha > 1; the "
             f"potential is unconfined on the right for alpha = {a}"
         )
+    s2 = (a - 1.0) * (a + 1.0)
+    if not s2 < math.inf:
+        raise ValueError(f"exp-mass alpha={a!r}: alpha^2 - 1 overflows a double")
 
     def v(y):
-        return ((a * a - 1.0) * np.exp(y) + np.exp(-y)) / 4.0 - (a + 1.0) / 2.0
+        return (s2 * np.exp(y) + np.exp(-y)) / 4.0 - (a + 1.0) / 2.0
 
-    def p(y):
-        return np.exp(y)
-
-    y_bottom = -0.5 * math.log(a * a - 1.0)
-    v_min = float(v(np.asarray(y_bottom)))
-    y_lo = brentq(lambda y: v(np.asarray(y)) - (v_min + 40.0), y_bottom - 80.0, y_bottom)
-    y_hi = brentq(lambda y: v(np.asarray(y)) - (v_min + 40.0), y_bottom, y_bottom + 80.0)
-    kappa = 0.5 * math.sqrt(a * a - 1.0)
-    y_hi += 3.0 / kappa
-    return _assemble(spec, f"exp-mass alpha={a!r}", p, v, y_lo, y_hi, points, spec.mu**2)
+    # the 40-unit points: roots of s2 u^2 - 2c u + 1 = 0 in u = e^y (module docstring)
+    s = math.sqrt(s2)
+    c = s + 80.0
+    root = c + math.sqrt(80.0 * (c + s))
+    y_lo = -math.log(root)
+    y_hi = math.log(root / s2) + 6.0 / s  # 3/kappa past the 40-unit point, kappa = s/2
+    h = (y_hi - y_lo) / (points + 1)
+    # the well narrows like alpha^(-1/2) in y, so at large alpha the nodes stop being distinct
+    if not h > math.ulp(max(-y_lo, y_hi)):
+        raise ValueError(
+            f"exp-mass alpha={a!r}: the walls y = {y_lo!r} and {y_hi!r} are too close "
+            f"for M={points} distinct nodes (h = {h:.2g})"
+        )
+    return _assemble(spec, f"exp-mass alpha={a!r}", np.exp, v, y_lo, y_hi, points, spec.mu**2)
 
 
 def _lowest(diag: np.ndarray, offdiag: np.ndarray, k: int) -> np.ndarray:
+    from scipy.linalg import eigh_tridiagonal
+
     return eigh_tridiagonal(
         diag, offdiag, select="i", select_range=(0, k - 1), eigvals_only=True
     )

@@ -20,6 +20,12 @@ return logarithms, and ``hyp0f1`` returns the complex ln 0F1.
 
 ``integrate_halfline``, adaptive quadrature over (0, inf), is kept as the
 independent reference the moment check's grid sum is tested against.
+
+scipy is imported inside the routines that call it, so ``import gcstates``
+loads none of it.  ``quad`` is a module-level function that imports
+``scipy.integrate.quad`` on its first call; it stays a ``specfn`` attribute
+so that a caller can replace it (a tracer counting quad's integrand
+evaluations, say), and ``integrate_halfline`` looks it up by that name.
 """
 
 from __future__ import annotations
@@ -30,8 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ive, kve
 
 from .exceptions import ConvergenceError, QuadratureError
 
@@ -158,6 +162,8 @@ def hyp0f1(b: float, w: complex) -> SeriesResult:
     if not b > 0:
         raise ValueError(f"hyp0f1 requires b > 0, got {b}")
     if abs(w) > HYP0F1_SERIES_MAX:
+        from scipy.special import ive
+
         s = 2.0 * cmath.sqrt(w)
         scaled = ive(b - 1.0, s)
         if 0.0 < abs(scaled) < math.inf:
@@ -198,6 +204,8 @@ def bessel_k(nu: float, x):
     Elsewhere ValueError, naming nu and the range of x refused.  A float x
     gives a float.
     """
+    from scipy.special import kve
+
     if nu < 0:
         raise ValueError(f"bessel_k requires nu >= 0, got {nu}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -241,6 +249,13 @@ def _bessel_k_hankel(nu: float, x: float) -> float:
         if abs(term) < 1e-16:
             return 0.5 * math.log(math.pi / (2.0 * x)) - x + math.log(total)
     return math.nan
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 def integrate_halfline(

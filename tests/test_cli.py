@@ -51,7 +51,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # and the rel_error or value derived from it, moved by under 2 eps ||T||_1);
 # verify_all was captured after that change; verify_corrupt_all (every
 # family's fail rows under --corrupt-steps) was captured before the ladder
-# probes were shared between models with one ladder
+# probes were shared between models with one ladder; verify_spectrum,
+# verify_all and verify_corrupt_all were re-captured when the exp-mass walls
+# became the exact roots of a quadratic in e^y instead of brentq's (the walls
+# moved by under 3e-13 in y, and the exp-mass level rows' value and
+# max_rel_error by under 2e-12)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -432,6 +436,21 @@ def test_bad_parameters_exit_two(args, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["1e154", "1e200"])
+def test_huge_expmass_alpha_is_refused_without_warnings(alpha):
+    # in a fresh process, where a numpy RuntimeWarning would reach stderr; at
+    # 1e200 alpha^2 - 1 overflows, at 1e154 the walls coincide in doubles
+    proc = subprocess.run(
+        [sys.executable, "-m", "gcstates.cli", "oracle", "--model", "exp-mass",
+         "--alpha", alpha, "--points", "200"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: exp-mass alpha={float(alpha)!r}: ")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("cfg, model", [

@@ -1,11 +1,15 @@
 """Public names: the package's star import and every module's ``__all__``;
-and no module-level import, private function, class or constant goes unused."""
+no import, private function, class or constant goes unused; and scipy loads
+only when a routine computes with it."""
 
 import ast
 import collections
 import importlib
+import json
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -34,8 +38,18 @@ SOURCES = {
 }
 
 
-def _imported_names(tree):
-    for node in tree.body:
+def _own_nodes(scope):
+    """The nodes of a module or function, without the bodies of the functions in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imported_names(scope):
+    for node in _own_nodes(scope):
         if isinstance(node, ast.Import):
             yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -44,10 +58,66 @@ def _imported_names(tree):
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_every_import_is_used_or_exported(name):
+    # a module's imports against its names and __all__, a function's against its own body
     module = importlib.import_module("gcstates" if name == "__init__" else f"gcstates.{name}")
-    used = {node.id for node in ast.walk(SOURCES[name]) if isinstance(node, ast.Name)}
-    unused = set(_imported_names(SOURCES[name])) - used - set(getattr(module, "__all__", ()))
+    tree = SOURCES[name]
+    scopes = [(tree, set(getattr(module, "__all__", ())))] + [
+        (node, set()) for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    unused = set()
+    for scope, exported in scopes:
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unused |= set(_imported_names(scope)) - used - exported
     assert unused == set()
+
+
+def _absolute_imports(nodes):
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # importing scipy.special or scipy.linalg costs a command more than its own
+    # run, so only the routines that compute with them import them
+    assert [
+        f"{name}: {module}" for name, tree in sorted(SOURCES.items())
+        for module in _absolute_imports(_own_nodes(tree)) if module.split(".")[0] == "scipy"
+    ] == []
+    assert [
+        f"{name}: {module}" for name, tree in sorted(SOURCES.items())
+        for module in _absolute_imports(ast.walk(tree)) if module.startswith("scipy.optimize")
+    ] == []
+
+
+# run in a fresh interpreter; prints the scipy modules loaded after each stage
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import gcstates, gcstates.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+stages = {"import": scipy_modules()}
+for args in (["coherent", "--z", "1+1i"], ["stats", "--z", "1.5"], ["fig1", "--zsq", "2"],
+             ["spectrum"], ["moments", "--model", "exp-mass"], ["verify"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        stages[args[0]] = [gcstates.cli.main(args), scipy_modules()]
+print(json.dumps(stages))
+"""
+
+
+def test_only_verify_loads_scipy_and_never_optimize_or_integrate():
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout)
+    assert stages.pop("import") == []
+    verify_code, verify_loaded = stages.pop("verify")
+    assert stages == {cmd: [0, []] for cmd in ("coherent", "stats", "fig1", "spectrum", "moments")}
+    assert verify_code == 0
+    assert {"scipy.special", "scipy.linalg"} <= set(verify_loaded)
+    assert not {"scipy.optimize", "scipy.integrate"} & set(verify_loaded)
 
 
 def _references(tree):

@@ -192,6 +192,32 @@ def test_expmass_near_one_within_resolution_is_accepted():
     assert np.all(np.isfinite(oracle.lowest_eigenvalues(prob, 4)))
 
 
+@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 2.0, 3.0, 4.0, 10.0, 1e3, 1e8])
+def test_expmass_walls_are_the_40_unit_points(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.optimize import brentq
+
+    prob = oracle.build_problem(models.make_model("exp-mass", alpha=alpha, mu=1.0), points=200)
+    y_40 = prob.hi - 3.0 / (0.5 * math.sqrt(alpha * alpha - 1.0))
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        s = mpmath.sqrt(a * a - 1)
+        target = (s - a - 1) / 2 + 40  # v_min + 40, v_min = v(-ln s)
+        for y in (prob.lo, y_40):
+            v = ((a * a - 1) * mpmath.exp(y) + mpmath.exp(-y)) / 4 - (a + 1) / 2
+            assert abs(v - target) <= 1e-12 * target, y
+
+    # brentq, as the walls were once found, on v in doubles to its default xtol 2e-12
+    y_bottom = -0.5 * math.log(alpha * alpha - 1.0)
+    v_40 = 40.0 + (math.sqrt(alpha * alpha - 1.0) - alpha - 1.0) / 2.0
+
+    def v_minus_40(y):
+        return ((alpha * alpha - 1.0) * math.exp(y) + math.exp(-y)) / 4.0 - (alpha + 1.0) / 2.0 - v_40
+
+    assert prob.lo == pytest.approx(brentq(v_minus_40, y_bottom - 80.0, y_bottom), abs=2e-12)
+    assert y_40 == pytest.approx(brentq(v_minus_40, y_bottom, y_bottom + 80.0), abs=2e-12)
+
+
 @pytest.mark.parametrize("q, h", [(1e-9, "22"), (1e-6, "0.71")])
 def test_coarse_oscillator_grid_is_not_compared(q, h):
     # the walls at +-1/sqrt(2q) leave h = 2(1 - PAD)/(sqrt(2q)(M + 1)) in zeta
