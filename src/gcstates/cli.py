@@ -53,6 +53,11 @@ VERIFY_REPORT_SCHEMA = verify.REPORT_SCHEMA
 SWEEP_MAX_LABELS = 10**6
 
 
+def _points_help(minimum: str) -> str:
+    return (f"finest grid of the oracle's triple M, 2M+1, 4M+3, rounded down to "
+            f"4M+3 (default {oracle.POINTS}; at least {minimum})")
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -210,10 +215,11 @@ def cmd_oracle(args) -> int:
     spec = _spec_from(args)
     comps = oracle.compare_spectrum(spec, k=args.levels, points=args.points)
     rows = [
-        (spec.id, _params_text(spec), c.n, c.numeric, c.analytic, c.rel_error, args.points)
+        (spec.id, _params_text(spec), c.n, c.numeric, c.analytic, c.rel_error, args.points,
+         c.error_bar)
         for c in comps
     ]
-    header = ("model", "params", "n", "E_numeric", "E_analytic", "rel_error", "M")
+    header = ("model", "params", "n", "E_numeric", "E_analytic", "rel_error", "M", "error_bar")
     _write(args, header, rows)
     return 0 if max(c.rel_error for c in comps) < oracle.LEVEL_TOL else 1
 
@@ -320,7 +326,8 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
     _add_model_opts(s, alpha=True)
     _add_out_opts(s)
     s.add_argument("--levels", type=int, default=4, help="levels to compare")
-    s.add_argument("--points", type=int, default=2000, help="grid points")
+    s.add_argument("--points", type=int, default=oracle.POINTS,
+                   help=_points_help("4*max(levels, 3)+3"))
     s.set_defaults(func=cmd_oracle)
 
     s = subs.add_parser("verify", help="run every verification family")
@@ -330,7 +337,8 @@ def build_parser(cfg: dict | None = None) -> argparse.ArgumentParser:
         help="restrict to one family (repeatable)",
     )
     s.add_argument("--nmax", type=int, default=8, help="moment depth")
-    s.add_argument("--points", type=int, default=2000, help="oracle grid points")
+    s.add_argument("--points", type=int, default=oracle.POINTS,
+                   help=_points_help(str(oracle.min_points(verify.LEVELS))))
     s.add_argument(
         "--corrupt-steps", action="store_true",
         help="negative control: bias the ladder steps and expect failure",

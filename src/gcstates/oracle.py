@@ -14,42 +14,60 @@ which keeps the matrix symmetric tridiagonal.  The models are assembled in
 their natural dimensionless coordinates and the eigenvalues rescaled:
 
 * singular-mass oscillators (zeta = sqrt(alpha) x, energies in units alpha):
-  p = (1 - 2 q zeta^2)/2,  v = zeta^2 / (2 (1 - 2 q zeta^2)), walls inset a
-  relative PAD inside the mass singularities at +-1/sqrt(2q);
+  p = (1 - 2 q zeta^2)/2 and v = zeta^2 / (2 (1 - 2 q zeta^2)) vanish and
+  blow up at zeta = +-1/sqrt(2q).  The Liouville substitution
+  zeta = sin(theta)/sqrt(2q), u = p^(1/4) psi (it reads only the mass and
+  the potential) gives
+
+      -q u'' + [(1/(4q) - q/4) tan^2 theta - q/2] u = E u,
+
+  with constant p = q on (-pi/2, pi/2).  By local (Frobenius) analysis
+  u ~ cos^lam theta at the ends, lam = 1/2 + 1/(2q), so the walls sit where
+  that is e^-20: theta_w = arccos(exp(-20/lam)), below pi/2 for q <= 1.  At
+  small q the states are only about sqrt(2q) wide in theta, and walls at
+  theta_w keep the nodes on them.  For q > 1 the tan^2 coefficient turns
+  negative, an attractive inverse-square wall, and the model is refused;
 * harmonic reference: p = 1/2, v = zeta^2/2, walls where v = 40;
-* exp-mass (y = mu x, energies in units mu^2): p = e^y,
-  v = ((alpha^2 - 1) e^y + e^-y)/4 - (alpha + 1)/2.  The left wall sits
-  where v has climbed 40 units above its minimum.  Both 40-unit points are
-  exact: v = v_min + 40 is the quadratic (alpha^2 - 1) u^2 - 2c u + 1 = 0 in
-  u = e^y, with c = 2(v_min + 40) + alpha + 1.  With s = sqrt(alpha^2 - 1),
-  v_min = (s - alpha - 1)/2, so c = s + 80 and c^2 - s^2 = 80(c + s), and
-  the roots y = -ln(c + sqrt(80(c + s))) and ln((c + sqrt(80(c + s)))/s^2)
-  involve no cancellation.  On the right the mass
-  vanishes and bound states decay only at the finite rate
-  kappa = sqrt(alpha^2 - 1)/2 per unit y, so the wall is pushed a further
-  3/kappa beyond the 40-unit point; without that extension the wall shift
-  dominates the discretization error and refining the grid stalls.
+* exp-mass (y = mu x, energies in units mu^2), in t = y + ln s with
+  s = sqrt(alpha^2 - 1): p = e^t/s and v = s sinh^2(t/2) + v_min, with
+  v_min = (s - alpha - 1)/2 = -(1 + 1/(s + alpha))/2.  The same potential
+  in y, ((alpha^2 - 1) e^y + e^-y)/4 - (alpha + 1)/2, cancels terms of size
+  alpha/4 and puts the nodes at |y| ~ ln alpha across a well alpha^(-1/2)
+  wide: at alpha = 1e18 its levels were off by 0.66.  In t the well is
+  centred on 0 and nothing cancels.  v is even in t, so the points where it
+  has climbed 40 units are t = +-2 asinh(sqrt(40/s)).  The left wall sits
+  at the left one.  On the right the mass vanishes and bound states decay
+  only at the finite rate kappa = s/2 per unit t, so the wall is pushed a
+  further 3/kappa beyond the 40-unit point; without that extension the wall
+  shift dominates the discretization error and refining the grid stalls.
 
-The pad is PAD = 1e-6.  Near a mass singularity the eigenfunction behaves
-like delta^s with s = 1/(4q), so the wall-position error scales as PAD^{2s};
-at q = 0.27 that exponent is below one and a looser pad (1e-3, say) leaves a
-grid-independent error floor around 1e-4 that masks the h^2 convergence.
-
-Eigenvalues come from LAPACK's bisection (stebz), whose absolute accuracy
+Eigenvalues come from LAPACK's bisection (dstebz), whose absolute accuracy
 is eps ||T||_1 in units of the energy scale.  ``build_problem`` refuses, with
 a ValueError naming the model's parameter, a grid where that resolution is
 not below LEVEL_TOL: the level comparisons could not tell a right spectrum
 from a wrong one.  That happens for exp-mass as alpha nears 1, where the
-right wall's 3/kappa extension makes e^y, and so ||T||_1, overflow.
+right wall's 3/kappa extension makes e^t/s, and so ||T||_1, overflow.
 
-The singular oscillators' walls sit at zeta = +-1/sqrt(2q), so their grid
-spacing h = 2 (1 - PAD) / (sqrt(2q) (M + 1)) grows as q shrinks while the
-low states keep a width of order one.  Past h = ZETA_STEP_MAX = 0.25 the
-levels are off by percents (at q = 1e-9, M = 2000, h is about 22 and E_0
-comes out near 62 against 0.5), so ``compare_spectrum`` and the verify
-spectrum family refuse such a grid with a ValueError (``require_fine_grid``)
-naming q, M and h.  At q = 1e-5, M = 2000 (h = 0.22) the four lowest levels
-are within 1.1%, and at q >= 1e-3, M >= 500 (h <= 0.089) within 0.18%.
+Levels with an error bar.  ``compare_spectrum`` solves a grid triple of
+M, 2M + 1 and 4M + 3 points, so h halves exactly, with 4M + 3 the largest
+such size not above ``points`` (default POINTS = 255).  The stencil's
+levels run E* + c h^2 + ..., so the Richardson value
+E_R = (4 E_fine - E_mid)/3 drops the h^2 term, and |E_fine - E_mid|/3, the
+finest plain grid's own error, is the reported estimate.  That holds only
+where the grids are in their second-order regime, so the observed order
+log2(|E_mid - E_coarse| / |E_fine - E_mid|) is checked: below ORDER_MIN, or
+with an estimate not below LEVEL_TOL, the comparison raises ValueError
+rather than report an error that would read as physics.  As q nears 1 the
+wall exponent lam nears 1 and u'' turns singular at the walls: at the
+default points the lowest observed order is 1.87 at q = 0.5 (1.92 at 8191
+points), 1.24 at q = 0.9, and 2.00 at q = 1, where the tan^2 term vanishes.
+
+The oscillators' coarsest grid must also resolve the low states, which
+spread over |zeta| of order one: its centre zeta spacing h_theta/sqrt(2q)
+above ZETA_STEP_MAX = 0.25 is refused with a ValueError
+(``require_fine_grid``) naming q, M and the spacing.  As q -> 0 the walls
+approach zeta = +-2 sqrt(10), so that spacing tends to 4 sqrt(10)/(M + 1),
+and the default points keep it below 0.2 at every q.
 
 The oscillators and the harmonic reference have even p and v on a grid
 symmetric about 0, so their matrix splits exactly into an even and an odd
@@ -76,25 +94,29 @@ from .models import ModelSpec
 
 __all__ = [
     "LEVEL_TOL",
-    "PAD",
+    "ORDER_MIN",
+    "POINTS",
     "GridEigenproblem",
     "LevelComparison",
     "build_problem",
     "lowest_eigenvalues",
     "require_fine_grid",
-    "compare_levels",
+    "min_points",
     "compare_spectrum",
 ]
 
 #: relative level error the spectrum checks allow; grids whose bisection
-#: cannot resolve levels this finely are refused
+#: cannot resolve levels this finely, and level estimates not below it, are refused
 LEVEL_TOL = 0.01
 
-#: relative inset of a singular oscillator's walls from its mass singularities
-PAD = 1e-6
+#: lowest observed convergence order at which a grid triple's levels are trusted
+ORDER_MIN = 1.9
 
-#: widest zeta spacing at which a singular-oscillator grid's levels are
-#: compared with the analytic spectrum
+#: default size of the finest grid of a comparison's triple
+POINTS = 255
+
+#: widest centre zeta spacing of the coarsest grid at which a singular
+#: oscillator's levels are compared with the analytic spectrum
 ZETA_STEP_MAX = 0.25
 
 
@@ -178,13 +200,13 @@ def _assemble(
     )
 
 
-def build_problem(spec: ModelSpec, points: int = 2000) -> GridEigenproblem:
-    """Discretize the model on its truncated natural domain.
+def build_problem(spec: ModelSpec, points: int = POINTS) -> GridEigenproblem:
+    """Discretize the model on one grid of its truncated natural domain.
 
-    The singular-mass models' Dirichlet walls sit PAD inside their mass
-    singularities.  A grid the bisection cannot resolve to LEVEL_TOL raises
-    ValueError, as does an exp-mass alpha whose alpha^2 - 1 overflows or
-    whose walls are too close for the points to be distinct doubles.
+    The singular-mass models are solved in Liouville form in theta, and
+    refused for q > 1.  A grid the bisection cannot resolve to LEVEL_TOL
+    raises ValueError, as does an exp-mass alpha whose alpha^2 - 1
+    overflows.
     """
     if points != int(points) or points < 3:
         raise ValueError(f"points must be an integer >= 3, got {points}")
@@ -192,16 +214,21 @@ def build_problem(spec: ModelSpec, points: int = 2000) -> GridEigenproblem:
 
     if spec.id in ("nonlinear-osc", "bounded-osc"):
         q = spec.nonlinearity
-        half = (1.0 - PAD) / math.sqrt(2.0 * q)
+        if not q <= 1.0:
+            raise ValueError(
+                f"singular-osc q={q!r}: the Liouville potential's tan^2 coefficient "
+                f"1/(4q) - q/4 is negative for q > 1; the oracle covers 0 < q <= 1"
+            )
+        lam = 0.5 + 0.5 / q
+        # cos(theta_w) = exp(-20/lam) by the half angle, which keeps small q's digits
+        wall = 2.0 * math.asin(math.sqrt(-0.5 * math.expm1(-20.0 / lam)))
+        c = 0.25 / q - 0.25 * q
 
-        def p(z):
-            return 0.5 * (1.0 - 2.0 * q * z**2)
+        def v(theta):
+            return c * np.tan(theta) ** 2 - 0.5 * q
 
-        def v(z):
-            return z**2 / (2.0 * (1.0 - 2.0 * q * z**2))
-
-        return _assemble(spec, f"singular-osc q={q!r}", p, v, -half, half, points,
-                         spec.alpha, symmetric=True)
+        return _assemble(spec, f"singular-osc q={q!r}", lambda t: np.full_like(t, q), v,
+                         -wall, wall, points, spec.alpha, symmetric=True)
 
     if spec.id == "harmonic":
         half = math.sqrt(80.0)  # v = zeta^2/2 reaches 40 energy units
@@ -227,32 +254,29 @@ def build_problem(spec: ModelSpec, points: int = 2000) -> GridEigenproblem:
     s2 = (a - 1.0) * (a + 1.0)
     if not s2 < math.inf:
         raise ValueError(f"exp-mass alpha={a!r}: alpha^2 - 1 overflows a double")
-
-    def v(y):
-        return (s2 * np.exp(y) + np.exp(-y)) / 4.0 - (a + 1.0) / 2.0
-
-    # the 40-unit points: roots of s2 u^2 - 2c u + 1 = 0 in u = e^y (module docstring)
     s = math.sqrt(s2)
-    c = s + 80.0
-    root = c + math.sqrt(80.0 * (c + s))
-    y_lo = -math.log(root)
-    y_hi = math.log(root / s2) + 6.0 / s  # 3/kappa past the 40-unit point, kappa = s/2
-    h = (y_hi - y_lo) / (points + 1)
-    # the well narrows like alpha^(-1/2) in y, so at large alpha the nodes stop being distinct
-    if not h > math.ulp(max(-y_lo, y_hi)):
-        raise ValueError(
-            f"exp-mass alpha={a!r}: the walls y = {y_lo!r} and {y_hi!r} are too close "
-            f"for M={points} distinct nodes (h = {h:.2g})"
-        )
-    return _assemble(spec, f"exp-mass alpha={a!r}", np.exp, v, y_lo, y_hi, points, spec.mu**2)
+    v_min = -0.5 * (1.0 + 1.0 / (s + a))
+
+    def v(t):
+        return s * np.sinh(0.5 * t) ** 2 + v_min
+
+    wall = 2.0 * math.asinh(math.sqrt(40.0 / s))  # the 40-unit points, module docstring
+    # 3/kappa past the right 40-unit point, kappa = s/2
+    return _assemble(spec, f"exp-mass alpha={a!r}", lambda t: np.exp(t) / s, v,
+                     -wall, wall + 6.0 / s, points, spec.mu**2)
 
 
 def _lowest(diag: np.ndarray, offdiag: np.ndarray, k: int) -> np.ndarray:
-    from scipy.linalg import eigh_tridiagonal
+    """The k lowest eigenvalues by LAPACK's bisection, as eigh_tridiagonal gets them."""
+    if diag.size == 1:
+        return diag.copy()
+    from scipy.linalg.lapack import dstebz
 
-    return eigh_tridiagonal(
-        diag, offdiag, select="i", select_range=(0, k - 1), eigvals_only=True
-    )
+    # range 2 selects by index, il..iu = 1..k; abstol 0 is eps ||T||_1
+    m, w, _, _, info = dstebz(diag, offdiag, 2, 0.0, 1.0, 1, k, 0.0, "E")
+    if info != 0 or m != k:
+        raise np.linalg.LinAlgError(f"dstebz gave {m} of {k} eigenvalues (LAPACK info={info})")
+    return w[:k]
 
 
 def _parity_blocks(problem: GridEigenproblem) -> tuple[tuple, tuple]:
@@ -288,49 +312,93 @@ def lowest_eigenvalues(problem: GridEigenproblem, k: int) -> np.ndarray:
     return vals * problem.energy_scale
 
 
+def require_fine_grid(problem: GridEigenproblem) -> None:
+    """Refuse a singular-oscillator grid too coarse to resolve its low states.
+
+    The oscillator states spread over |zeta| of order one, and a node
+    spacing h in theta is h/sqrt(2q) in zeta at the centre.  Above
+    ZETA_STEP_MAX that raises ValueError naming q, M and the spacing.  The
+    matrix itself stays well defined, so build_problem accepts it.
+    """
+    if problem.spec.id not in ("nonlinear-osc", "bounded-osc"):
+        return
+    step = problem.h / math.sqrt(2.0 * problem.spec.nonlinearity)
+    if not step <= ZETA_STEP_MAX:
+        raise ValueError(
+            f"{problem.hamiltonian}, M={problem.points}: the grid's centre zeta spacing "
+            f"h = {step:.2g} is above {ZETA_STEP_MAX}, too coarse to resolve "
+            f"the low states; raise the points"
+        )
+
+
+def min_points(k: int) -> int:
+    """Fewest finest-grid points for k levels: the coarse grid needs max(k, 3)."""
+    return 4 * max(int(k), 3) + 3
+
+
 @dataclass(frozen=True)
 class LevelComparison:
+    """One extrapolated level against the analytic spectrum.
+
+    rel_error is relative to max(|E_analytic|, energy unit), so a zero
+    ground level (exp-mass) stays meaningful, and error_bar, the estimate
+    |E_fine - E_mid|/3, to max(|E_R|, energy unit); order is the level's
+    observed convergence order.
+    """
+
     n: int
     numeric: float
     analytic: float
     rel_error: float
+    error_bar: float
+    order: float
 
 
-def compare_levels(spec: ModelSpec, numeric) -> list[LevelComparison]:
-    """Grid levels E_0, E_1, ... against the model's analytic spectrum.
+def _richardson(coarse: GridEigenproblem, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E_R, relative estimate, observed order) of the k lowest levels of a grid triple."""
+    m = coarse.points
+    e_coarse = lowest_eigenvalues(coarse, k)
+    e_mid, e_fine = (lowest_eigenvalues(build_problem(coarse.spec, n), k)
+                     for n in (2 * m + 1, 4 * m + 3))
+    value = (4.0 * e_fine - e_mid) / 3.0
+    bar = np.abs(e_fine - e_mid) / 3.0 / np.maximum(np.abs(value), coarse.energy_scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.log2(np.abs(e_mid - e_coarse) / np.abs(e_fine - e_mid))
+    for n in range(k):
+        if not (order[n] >= ORDER_MIN and bar[n] < LEVEL_TOL):
+            raise ValueError(
+                f"{coarse.hamiltonian}, M={4 * m + 3}: level n={n} converges at observed "
+                f"order {order[n]:.3f} with error estimate {bar[n]:.2g}; a trusted level "
+                f"needs order >= {ORDER_MIN} and an estimate below {LEVEL_TOL}"
+            )
+    return value, bar, order
 
-    Relative error uses max(|E_analytic|, energy_unit) in the denominator so
-    that a zero ground-state energy (exp-mass) stays meaningful.
+
+def compare_spectrum(
+    spec: ModelSpec, k: int = 4, points: int = POINTS, solves: dict | None = None
+) -> list[LevelComparison]:
+    """The k lowest extrapolated levels against the analytic spectrum.
+
+    The grid triple's finest size is the largest 4M + 3 not above points,
+    which must be at least min_points(k).  A coarse grid that
+    require_fine_grid refuses, or a triple whose levels fail the order or
+    estimate check, raises ValueError.  ``solves`` keeps each triple's levels
+    by the coarse grid's key and k, so models sharing a Hamiltonian are
+    solved once.
     """
+    if points != int(points) or points < min_points(k):
+        raise ValueError(
+            f"points must be an integer >= {min_points(k)} for {k} levels, got {points}"
+        )
+    coarse = build_problem(spec, (int(points) + 1) // 4 - 1)
+    require_fine_grid(coarse)
+    solves = {} if solves is None else solves
+    key = (coarse.key, k)
+    if key not in solves:
+        solves[key] = _richardson(coarse, k)
     out = []
-    for n, e_num in enumerate(numeric):
+    for n, (e_num, bar, order) in enumerate(zip(*solves[key])):
         e_ana = models.energy(spec, n)
         rel = abs(e_num - e_ana) / max(abs(e_ana), spec.energy_unit)
-        out.append(LevelComparison(n, float(e_num), e_ana, rel))
+        out.append(LevelComparison(n, float(e_num), e_ana, rel, float(bar), float(order)))
     return out
-
-
-def require_fine_grid(problem: GridEigenproblem) -> None:
-    """Refuse a singular-oscillator grid too coarse to resolve its low states.
-
-    The oscillator states spread over |zeta| of order one while the walls sit
-    at +-1/sqrt(2q), so at small q a fixed M leaves only a few nodes across
-    them.  A spacing h above ZETA_STEP_MAX raises ValueError naming q, M and
-    h.  The matrix itself stays well defined, so build_problem accepts it.
-    """
-    if problem.spec.id in ("nonlinear-osc", "bounded-osc") and not problem.h <= ZETA_STEP_MAX:
-        raise ValueError(
-            f"{problem.hamiltonian}, M={problem.points}: the grid's zeta spacing "
-            f"h = {problem.h:.2g} is above {ZETA_STEP_MAX}, too coarse to resolve "
-            f"the low states; raise M"
-        )
-
-
-def compare_spectrum(spec: ModelSpec, k: int = 4, points: int = 2000) -> list[LevelComparison]:
-    """Compare the k lowest grid eigenvalues against the analytic spectrum.
-
-    A grid that require_fine_grid refuses raises ValueError.
-    """
-    problem = build_problem(spec, points=points)
-    require_fine_grid(problem)
-    return compare_levels(spec, lowest_eigenvalues(problem, k))

@@ -15,7 +15,7 @@ at one q close the same ladder, and the second gets the first one's rows
 under its own model name.  A probe that raised keeps nothing, so the next
 model with that key runs it again.  The spectrum oracle reads the model id,
 so its rows are never shared by ladder; models whose grid problems share an
-``oracle.build_problem`` key share that run's one solve, and each is
+``oracle.build_problem`` key share that run's one grid triple, and each is
 compared with its own analytic spectrum.  Nothing is kept between runs.
 """
 
@@ -116,16 +116,14 @@ def _moments(spec, nmax):
 
 
 def _levels(spec, points, solves):
-    problem = oracle.build_problem(spec, points=points)
-    oracle.require_fine_grid(problem)
-    if problem.key not in solves:
-        solves[problem.key] = oracle.lowest_eigenvalues(problem, LEVELS)
-    for comp in oracle.compare_levels(spec, solves[problem.key]):
+    for comp in oracle.compare_spectrum(spec, LEVELS, points, solves):
         tol = oracle.LEVEL_TOL
         yield f"level n={comp.n}", comp.rel_error, tol, comp.rel_error < tol
 
 
-def run(only=None, corrupt: bool = False, nmax: int = 8, points: int = 2000) -> list[dict]:
+def run(
+    only=None, corrupt: bool = False, nmax: int = 8, points: int = oracle.POINTS
+) -> list[dict]:
     """The ``gcstates verify`` report for the families in ``only`` (default all).
 
     A probe that raises leaves one fail row (model, item, error, passed)
@@ -137,8 +135,9 @@ def run(only=None, corrupt: bool = False, nmax: int = 8, points: int = 2000) -> 
         raise ValueError(f"unknown verify families: {', '.join(sorted(unknown))}")
     if nmax != int(nmax) or not 0 <= nmax <= 12:
         raise ValueError(f"nmax must be an integer in 0..12, got {nmax}")
-    if points != int(points) or points < LEVELS:
-        raise ValueError(f"points must be an integer >= {LEVELS}, got {points}")
+    least = oracle.min_points(LEVELS)
+    if points != int(points) or points < least:
+        raise ValueError(f"points must be an integer >= {least}, got {points}")
     solves = {}
     # family -> (check_name, rows shared per ladder, [(item naming the fail row, probe)])
     table = {

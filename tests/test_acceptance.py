@@ -1,8 +1,7 @@
 """Acceptance gate: one test per shipped claim, stated tolerances only.
 
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
-criterion.  The whole file stays under the two-minute desk budget; the
-finite-difference sweep in criterion 1 dominates.
+criterion.  The whole file stays under the two-minute desk budget.
 """
 
 import math
@@ -40,16 +39,16 @@ def label(spec):
 
 
 def test_c01_spectra_match_finite_difference_oracle():
-    # every model in the grid: n = 0..3 within 1% at M = 2000, and the
-    # discretization error drops at least 3.5x when the grid doubles
+    # every model in the grid: n = 0..3 within 1% from the default grid
+    # triple, each level converging at observed order >= 1.9 and its
+    # reported error estimate bounding the true error
     for spec in grid_specs():
-        coarse = oracle.compare_spectrum(spec, k=4, points=2000)
-        fine = oracle.compare_spectrum(spec, k=4, points=4000)
-        for c, f in zip(coarse, fine):
-            assert c.rel_error < 0.01, f"{label(spec)} n={c.n}: {c.rel_error:.3e}"
-            ratio = c.rel_error / f.rel_error
-            assert ratio >= 3.5, (
-                f"{label(spec)} n={c.n}: refinement ratio {ratio:.2f}"
+        for c in oracle.compare_spectrum(spec, k=4):
+            where = f"{label(spec)} n={c.n}"
+            assert c.rel_error < 0.01, f"{where}: {c.rel_error:.3e}"
+            assert c.order >= 1.9, f"{where}: observed order {c.order:.3f}"
+            assert c.rel_error <= c.error_bar, (
+                f"{where}: error {c.rel_error:.3e} above its estimate {c.error_bar:.3e}"
             )
 
 

@@ -55,7 +55,12 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # verify_all and verify_corrupt_all were re-captured when the exp-mass walls
 # became the exact roots of a quadratic in e^y instead of brentq's (the walls
 # moved by under 3e-13 in y, and the exp-mass level rows' value and
-# max_rel_error by under 2e-12)
+# max_rel_error by under 2e-12); oracle, verify_spectrum, verify_all and
+# verify_corrupt_all were re-captured when the levels became Richardson
+# values of a grid triple, with a Liouville grid for the oscillators and a
+# grid in t = y + ln s for exp-mass (only the spectrum levels, their
+# rel_error or value, the spectrum max_rel_error and the oracle's new
+# error_bar column moved)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -210,7 +215,7 @@ def test_oracle_small_grid(capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "model,params,n,E_numeric,E_analytic,rel_error,M"
+    assert lines[0] == "model,params,n,E_numeric,E_analytic,rel_error,M,error_bar"
     assert lines[1].split(",")[4] == "0.5"
 
 
@@ -415,19 +420,24 @@ def test_out_writes_file(tmp_path, capsys):
         ["stats", "--z-sweep", "0", "1e12", "1"],
         # a subnormal target mean
         ["fig1", "--zsq", "1e-310"],
-        # the spectrum family compares 4 levels
-        ["verify", "--only", "spectrum", "--points", "3"],
+        # the spectrum family compares 4 levels, so its coarse grid needs at
+        # least 4 points and the finest 4*4 + 3 = 19
+        ["verify", "--only", "spectrum", "--points", "18"],
         # the bisection cannot resolve the exp-mass grid this close to alpha = 1
         ["oracle", "--model", "exp-mass", "--alpha", "1.00003", "--points", "200"],
         ["oracle", "--model", "exp-mass", "--alpha", "1.0001", "--points", "200"],
         ["oracle", "--model", "exp-mass", "--alpha", "1.001"],
         ["oracle", "--model", "exp-mass", "--alpha", "1.05"],
         # oscillator grids whose zeta spacing is too coarse for the low states
-        ["oracle", "--lambda-prime", "1e-9", "--levels", "2"],
-        ["oracle", "--lambda-prime", "1e-6", "--levels", "2"],
+        ["oracle", "--lambda-prime", "1e-9", "--levels", "2", "--points", "100"],
+        ["oracle", "--lambda-prime", "1e-6", "--levels", "2", "--points", "100"],
         # a flag of the other model family
         ["spectrum", "--model", "exp-mass", "--lambda-prime", "0.5"],
         ["spectrum", "--mu", "3"],
+        # the oracle's range: q > 1 turns the Liouville tan^2 wall attractive,
+        # and at q = 0.9 the grid triple converges at observed order 1.24
+        ["oracle", "--lambda-prime", "2"],
+        ["oracle", "--lambda-prime", "0.9"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):
@@ -438,10 +448,10 @@ def test_bad_parameters_exit_two(args, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("alpha", ["1e154", "1e200"])
+@pytest.mark.parametrize("alpha", ["1.4e154", "1e200"])
 def test_huge_expmass_alpha_is_refused_without_warnings(alpha):
-    # in a fresh process, where a numpy RuntimeWarning would reach stderr; at
-    # 1e200 alpha^2 - 1 overflows, at 1e154 the walls coincide in doubles
+    # in a fresh process, where a numpy RuntimeWarning would reach stderr;
+    # alpha^2 - 1 overflows past 1.34e154
     proc = subprocess.run(
         [sys.executable, "-m", "gcstates.cli", "oracle", "--model", "exp-mass",
          "--alpha", alpha, "--points", "200"],
@@ -451,6 +461,18 @@ def test_huge_expmass_alpha_is_refused_without_warnings(alpha):
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: exp-mass alpha={float(alpha)!r}: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["1e13", "1e15", "1e18", "1e20", "1e154"])
+def test_large_expmass_alpha_levels_hold_under_their_error_bars(alpha, capsys):
+    # the grid in t = y + ln s keeps these levels; in y they were off by up
+    # to 0.94, reported as a failed check (exit 1)
+    code, out = run(["oracle", "--model", "exp-mass", "--alpha", alpha], capsys)
+    assert code == 0
+    for row in out.splitlines()[1:]:
+        cols = row.split(",")
+        rel_error, error_bar = float(cols[5]), float(cols[7])
+        assert rel_error <= error_bar < 0.01
 
 
 @pytest.mark.parametrize("cfg, model", [

@@ -82,12 +82,14 @@ def test_expmass_requires_confinement():
 
 
 def test_error_shrinks_with_grid_refinement():
-    # second-order stencil: doubling the grid should cut the error ~4x
+    # second-order stencil: doubling a plain grid should cut the error ~4x
     spec = nonlinear(0.17)
-    coarse = oracle.compare_spectrum(spec, k=3, points=1000)
-    fine = oracle.compare_spectrum(spec, k=3, points=2000)
-    for c, f in zip(coarse, fine):
-        assert c.rel_error / f.rel_error > 3.0
+    exact = models.energy(spec, np.arange(3))
+    coarse, fine = (
+        np.abs(oracle.lowest_eigenvalues(oracle.build_problem(spec, points=m), 3) - exact) / exact
+        for m in (1000, 2000)
+    )
+    assert np.all(coarse / fine > 3.0)
 
 
 def test_build_problem_guards():
@@ -104,11 +106,14 @@ def test_lowest_eigenvalues_k_guard():
 
 
 def test_oscillator_domain_stops_at_mass_singularity():
-    # the mass profile vanishes at zeta = 1/sqrt(2q); walls must stay inside
-    prob = oracle.build_problem(nonlinear(0.27), points=100)
-    wall = 1.0 / math.sqrt(2.0 * 0.27)
-    assert prob.lo > -wall
-    assert prob.hi < wall
+    # the mass profile vanishes at theta = +-pi/2; the walls sit inside, where
+    # cos(theta)^lam = e^-20 with lam = 1/2 + 1/(2q)
+    for q in (1e-9, 0.27, 1.0):
+        prob = oracle.build_problem(nonlinear(q), points=100)
+        lam = 0.5 + 0.5 / q
+        assert prob.hi == pytest.approx(math.acos(math.exp(-20.0 / lam)), rel=1e-7)
+        assert prob.lo == -prob.hi
+        assert prob.hi < math.pi / 2
 
 
 # ------------------------------------------------- parity split, resolution
@@ -198,37 +203,51 @@ def test_expmass_walls_are_the_40_unit_points(alpha):
     from scipy.optimize import brentq
 
     prob = oracle.build_problem(models.make_model("exp-mass", alpha=alpha, mu=1.0), points=200)
-    y_40 = prob.hi - 3.0 / (0.5 * math.sqrt(alpha * alpha - 1.0))
+    # the grid runs in t = y + ln s, its right wall 3/kappa = 6/s past the 40-unit point
+    s = math.sqrt(alpha * alpha - 1.0)
+    t_40 = prob.hi - 6.0 / s
     with mpmath.workdps(40):
         a = mpmath.mpf(alpha)
-        s = mpmath.sqrt(a * a - 1)
-        target = (s - a - 1) / 2 + 40  # v_min + 40, v_min = v(-ln s)
-        for y in (prob.lo, y_40):
+        s_mp = mpmath.sqrt(a * a - 1)
+        target = (s_mp - a - 1) / 2 + 40  # v_min + 40, v_min = v(-ln s)
+        for t in (prob.lo, t_40):
+            y = t - mpmath.log(s_mp)
             v = ((a * a - 1) * mpmath.exp(y) + mpmath.exp(-y)) / 4 - (a + 1) / 2
-            assert abs(v - target) <= 1e-12 * target, y
+            assert abs(v - target) <= 1e-12 * target, t
 
-    # brentq, as the walls were once found, on v in doubles to its default xtol 2e-12
+    # brentq, as the walls were once found, on v(y) in doubles to its default xtol 2e-12
     y_bottom = -0.5 * math.log(alpha * alpha - 1.0)
     v_40 = 40.0 + (math.sqrt(alpha * alpha - 1.0) - alpha - 1.0) / 2.0
 
     def v_minus_40(y):
         return ((alpha * alpha - 1.0) * math.exp(y) + math.exp(-y)) / 4.0 - (alpha + 1.0) / 2.0 - v_40
 
-    assert prob.lo == pytest.approx(brentq(v_minus_40, y_bottom - 80.0, y_bottom), abs=2e-12)
+    y_lo, y_40 = prob.lo - math.log(s), t_40 - math.log(s)
+    assert y_lo == pytest.approx(brentq(v_minus_40, y_bottom - 80.0, y_bottom), abs=2e-12)
     assert y_40 == pytest.approx(brentq(v_minus_40, y_bottom, y_bottom + 80.0), abs=2e-12)
 
 
-@pytest.mark.parametrize("q, h", [(1e-9, "22"), (1e-6, "0.71")])
+@pytest.mark.parametrize("q, h", [(1e-9, "0.51"), (1e-6, "0.51")])
 def test_coarse_oscillator_grid_is_not_compared(q, h):
-    # the walls at +-1/sqrt(2q) leave h = 2(1 - PAD)/(sqrt(2q)(M + 1)) in zeta
+    # the coarse grid of points = 100 has M = 24 nodes between the theta walls;
+    # at its centre they are h_theta/sqrt(2q) apart in zeta
     spec = nonlinear(q)
-    prob = oracle.build_problem(spec, points=2000)
-    assert prob.h == pytest.approx(2.0 * (1.0 - oracle.PAD) / (math.sqrt(2.0 * q) * 2001))
-    match = rf"q={q!r}, M=2000: .*spacing h = {h} is above {oracle.ZETA_STEP_MAX}"
+    prob = oracle.build_problem(spec, points=24)
+    assert prob.h == pytest.approx(2.0 * prob.hi / 25)
+    match = rf"q={q!r}, M=24: .*spacing h = {h} is above {oracle.ZETA_STEP_MAX}"
     with pytest.raises(ValueError, match=match):
         oracle.require_fine_grid(prob)
     with pytest.raises(ValueError, match=match):
-        oracle.compare_spectrum(spec, k=2, points=2000)
+        oracle.compare_spectrum(spec, k=2, points=100)
+
+
+@pytest.mark.parametrize("q", [1e-9, 1e-6, 1e-3])
+def test_small_q_is_compared_at_the_default_points(q):
+    # the walls where cos(theta)^lam = e^-20 keep the coarse zeta spacing
+    # near 0.2 as q -> 0, so the default triple compares these levels
+    for c in oracle.compare_spectrum(nonlinear(q), k=4):
+        assert c.rel_error <= c.error_bar
+        assert c.rel_error < 2e-6
 
 
 @pytest.mark.parametrize(
@@ -239,3 +258,106 @@ def test_coarse_oscillator_grid_is_not_compared(q, h):
 def test_fine_enough_grid_is_compared(spec, points):
     # the bound applies to the singular oscillators only: harmonic at M = 3 has h > 1
     oracle.require_fine_grid(oracle.build_problem(spec, points=points))
+
+
+# ------------------------------------------------- error bars, observed order
+
+
+def test_levels_extrapolate_from_a_grid_triple():
+    # E_R = (4 E_fine - E_mid)/3 on M, 2M + 1, 4M + 3 points, h halving exactly
+    spec = nonlinear(0.1)
+    e_coarse, e_mid, e_fine = (
+        oracle.lowest_eigenvalues(oracle.build_problem(spec, points=m), 4) for m in (63, 127, 255)
+    )
+    for points in (255, 256, 258):
+        comps = oracle.compare_spectrum(spec, k=4, points=points)
+        assert [c.numeric for c in comps] == list((4.0 * e_fine - e_mid) / 3.0)
+        assert [c.error_bar for c in comps] == list(
+            np.abs(e_fine - e_mid) / 3.0 / np.maximum((4.0 * e_fine - e_mid) / 3.0, 1.0)
+        )
+        assert [c.order for c in comps] == list(
+            np.log2(np.abs(e_mid - e_coarse) / np.abs(e_fine - e_mid))
+        )
+
+
+def test_points_below_the_minimum_are_refused():
+    assert oracle.min_points(4) == 19
+    assert oracle.min_points(1) == 15
+    with pytest.raises(ValueError, match="points must be an integer >= 19 for 4 levels"):
+        oracle.compare_spectrum(nonlinear(0.1), k=4, points=18)
+    with pytest.raises(ValueError, match="points must be an integer >= 15 for 1 levels"):
+        oracle.compare_spectrum(nonlinear(0.1), k=1, points=14)
+
+
+# the oracle cases of ROADMAP item 1's two tables, as (model, finest points):
+# the Richardson pairs of M and 2M + 1 points are the upper two grids of
+# these triples, and the plain M = 2000 and 8000 grids are near their finest
+TABLE_CASES = [
+    (nonlinear(0.1), 511),
+    (models.make_model("exp-mass", alpha=2.0, mu=1.0), 511),
+    (nonlinear(1e-3), 1023),
+    *((nonlinear(q), m) for q in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0) for m in (2047, 8191)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, points", TABLE_CASES,
+    ids=[f"{s.id}-{s.nonlinearity or s.alpha}-{m}" for s, m in TABLE_CASES],
+)
+def test_error_estimate_bounds_the_true_error(spec, points):
+    # each case is compared with every level under its estimate, or refused
+    try:
+        comps = oracle.compare_spectrum(spec, k=4, points=points)
+    except ValueError as exc:
+        assert spec.nonlinearity is not None and (
+            spec.nonlinearity > 1.0 or "observed order" in str(exc)
+        ), exc
+        return
+    for c in comps:
+        assert c.order >= oracle.ORDER_MIN
+        assert c.rel_error <= c.error_bar < oracle.LEVEL_TOL
+
+
+def test_a_broken_order_is_refused():
+    # q = 0.9: the wall exponent lam = 1.06 leaves u'' singular, order 1.24
+    with pytest.raises(ValueError, match=r"q=0.9, M=255: level n=0 .* observed order 1.2"):
+        oracle.compare_spectrum(nonlinear(0.9), k=4)
+
+
+def test_q_above_one_is_refused():
+    with pytest.raises(ValueError, match=r"q=2.0: .*negative for q > 1"):
+        oracle.build_problem(nonlinear(2.0))
+
+
+def test_q_one_half_meets_its_gate_at_8191_points():
+    comps = oracle.compare_spectrum(nonlinear(0.5), k=4, points=8191)
+    assert min(c.order for c in comps) >= 1.9
+    assert max(c.rel_error for c in comps) <= 1e-5
+
+
+def test_q_one_is_compared_at_the_default_points():
+    comps = oracle.compare_spectrum(nonlinear(1.0), k=4)
+    assert min(c.order for c in comps) >= 1.9
+    assert max(c.rel_error for c in comps) < 1e-7
+
+
+def test_one_triple_per_key_and_k():
+    solves = {}
+    a = oracle.compare_spectrum(nonlinear(0.1), k=4, solves=solves)
+    b = oracle.compare_spectrum(models.make_model("bounded-osc", nonlinearity=0.1), k=4,
+                                solves=solves)
+    assert len(solves) == 1
+    assert [c.numeric for c in a] == [c.numeric for c in b]
+    oracle.compare_spectrum(nonlinear(0.1), k=2, solves=solves)
+    assert len(solves) == 2
+
+
+def test_the_benchmark_calls_into_the_oracle():
+    # perfbench's verify warm-up calls this outside any try, and its tracer
+    # reads compare_spectrum's points argument and each row's rel_error
+    import inspect
+
+    assert "points" in inspect.signature(oracle.compare_spectrum).parameters
+    exp = models.make_model("exp-mass", alpha=2.0, mu=1.0)
+    (comp,) = oracle.compare_spectrum(exp, k=1, points=50)
+    assert comp.rel_error <= comp.error_bar < oracle.LEVEL_TOL

@@ -16,7 +16,7 @@ def test_run_gives_the_cli_report(capsys):
 @pytest.mark.parametrize(
     "kwargs, match",
     [({"nmax": 13}, "nmax"), ({"nmax": -1}, "nmax"), ({"nmax": 2.5}, "nmax"),
-     ({"points": 2}, "points"), ({"points": 3}, "points")],
+     ({"points": 2}, "points"), ({"points": 3}, "points"), ({"points": 18}, ">= 19")],
 )
 def test_run_rejects_bad_arguments_before_any_probe(kwargs, match, monkeypatch):
     def no_probe(*args, **kw):
@@ -42,10 +42,12 @@ def test_one_solve_per_distinct_hamiltonian_per_run(monkeypatch):
 
     monkeypatch.setattr(verify.oracle, "lowest_eigenvalues", counted)
     first = verify.run(only=["spectrum"], points=500)
-    # nonlinear-osc and bounded-osc at one q share a problem; exp-mass is its own
-    assert len(keys) == len(set(keys)) == 2
+    # nonlinear-osc and bounded-osc at one q share a problem; exp-mass is its
+    # own; each is solved on grids of 124, 249 and 499 points
+    assert len(keys) == len(set(keys)) == 6
+    assert sorted(key[2] for key in keys) == [124, 124, 249, 249, 499, 499]
     assert verify.run(only=["spectrum"], points=500) == first
-    assert len(keys) == 4 and keys[2:] == keys[:2]
+    assert len(keys) == 12 and keys[6:] == keys[:6]
 
     rows = {}
     for row in first[0]["details"]:
@@ -125,8 +127,9 @@ def test_rows_before_a_raise_are_kept_for_each_model(monkeypatch):
 
 
 def test_coarse_oscillator_grid_leaves_fail_rows():
-    (report,) = verify.run(only=["spectrum"], points=8)
+    # points = 100 gives a coarse grid of 24 points, 0.28 apart in zeta at q = 0.1
+    (report,) = verify.run(only=["spectrum"], points=100)
     osc = [d for d in report["details"] if d["model"] != "exp-mass"]
     assert [d["model"] for d in osc] == ["nonlinear-osc", "bounded-osc"]
-    assert all("spacing h = 0.5 is above 0.25" in d["error"] for d in osc)
+    assert all("spacing h = 0.28 is above 0.25" in d["error"] for d in osc)
     assert report["status"] == "fail"
