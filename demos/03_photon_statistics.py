@@ -21,7 +21,7 @@ def main():
     em = models.make_model("exp-mass", alpha=2.0, mu=1.0)
     print("Exponential profile, mu = 1 (expected: mean = variance, Q = 0):")
     for z_abs in (0.5, 1.0, 2.0):
-        s = stats.summary_for(em, z_abs)
+        s = stats.summary_series(coherent.construct(em, z_abs))
         print(
             f"  |z| = {z_abs:3.1f}  mean = {s.mean:8.5f}  var = {s.variance:8.5f}"
             f"  Q = {s.mandel_q:+.2e}  {s.classification}"

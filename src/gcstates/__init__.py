@@ -16,7 +16,6 @@ from .coherent import (
     overlap,
 )
 from .exceptions import ConsistencyError, ConvergenceError, QuadratureError
-from .fockrep import TruncatedOperators, build, commutator_diagonal
 from .measure import radius, verify_moments, weight_tilde
 from .models import (
     MODEL_IDS,
@@ -40,11 +39,8 @@ __all__ = [
     "MODEL_IDS",
     "ModelSpec",
     "QuadratureError",
-    "TruncatedOperators",
     "annihilation_residual",
-    "build",
     "build_problem",
-    "commutator_diagonal",
     "compare_spectrum",
     "construct",
     "distribution",

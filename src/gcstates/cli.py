@@ -47,6 +47,7 @@ _NUMERICAL_ERRORS = (ConsistencyError, ConvergenceError, QuadratureError, Overfl
 __all__ = ["main", "VERIFY_REPORT_SCHEMA"]
 
 #: schema of the verify report (field names frozen), as gcstates.verify has it
+# kept as a cli name because the benchmark harness (perfbench) validates against it
 VERIFY_REPORT_SCHEMA = verify.REPORT_SCHEMA
 
 #: most labels one stats --z-sweep may ask for

@@ -33,7 +33,7 @@ from .models import ModelSpec
 __all__ = [
     "CoherentState", "PEAK_INDEX_MAX", "construct", "coeffs_on", "norm_log_closed",
     "annihilation_residual", "overlap", "overlap_kernel", "label_continuity",
-    "to_record", "coeffs_from_record",
+    "to_record",
 ]
 
 #: deepest peak index construct accepts (its anchor costs one log per index)
@@ -181,15 +181,21 @@ def coeffs_on(state: CoherentState, lo: int, hi: int) -> np.ndarray:
 
 
 def annihilation_residual(state: CoherentState) -> float:
-    """Norm of (L- - zeta) c, with L- from the ladder steps over [n0 - 1, n0 + dim).
+    """Norm of (L- - zeta) c over [n0 - 1, n0 + dim), L- stepping by sqrt(e_n).
 
-    Exact cancellation holds on every interior index, so the residual is the
-    pure leak at the two window edges, of order eps |zeta|.
+    L-'s steps are read from the spectrum, e_n = (E_n - E_0) / unit, not from
+    the ladder steps that built c, so a wrong step leaves a residual of about
+    its relative error times |zeta|.  With the right steps, exact cancellation
+    holds on every interior index and the residual is the pure leak at the
+    two window edges, of order eps |zeta|.
     """
     lo, hi = max(state.n0 - 1, 0), state.n0 + state.dim
     c = coeffs_on(state, lo, hi + 1)
-    lowered = np.sqrt(models.step(state.spec, np.arange(lo + 1, hi + 1))) * c[1:]
-    return float(np.linalg.norm(lowered - state.zeta * c[:-1]))
+    n = np.arange(lo, hi + 1)
+    n[0] = 0  # E_0, then E_n for n in (lo, hi]
+    energies = models.energy(state.spec, n)
+    steps = (energies[1:] - energies[0]) / state.spec.energy_unit
+    return float(np.linalg.norm(np.sqrt(steps) * c[1:] - state.zeta * c[:-1]))
 
 
 def overlap_kernel(a: CoherentState, b: CoherentState) -> complex:
@@ -246,9 +252,3 @@ def to_record(state: CoherentState) -> dict:
         ],
         "log_norm": state.log_norm,
     } | ({"n0": state.n0} if state.n0 else {})
-
-
-def coeffs_from_record(record: dict) -> np.ndarray:
-    """Complex coefficient vector (the window from n0) encoded in a record."""
-    rows = np.asarray(record["coeffs"], dtype=float)
-    return np.exp(rows[:, 0]) * (rows[:, 1] + 1j * rows[:, 2])

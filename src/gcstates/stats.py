@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CoherentState, construct
+from .coherent import CoherentState
 from .exceptions import ConvergenceError
 from .models import ModelSpec
 
@@ -155,8 +155,3 @@ def match_mean_abs_z(spec: ModelSpec, target_mean: float) -> float:
     raise ConvergenceError(
         f"mean matching for target {target_mean:g} did not settle in {MATCH_MAX_STEPS} steps"
     )
-
-
-def summary_for(spec: ModelSpec, z: complex, eps: float = 1e-12) -> StatsSummary:
-    """Convenience: construct the state and summarize it by series."""
-    return summary_series(construct(spec, z, eps=eps))

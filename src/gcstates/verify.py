@@ -2,11 +2,17 @@
 
 Each family (ladder algebra, annihilation residual, resolution-of-unity
 moments, finite-difference spectrum) is a list of probes.  A probe takes one
-model and yields detail rows (item, value, threshold, passed).  ``run`` is
-the one driver: it loops over the models, turns a numerical error raised in
-a probe into a fail row (an internal invariant tripping is a finding, not a
-crash), and computes each family's status and worst value.  The library is
-called through module attributes, so wrapping one of them covers these calls.
+model and yields detail rows (item, value, threshold, passed), each of which
+compares two routes that share no formula, so a wrong ladder step fails
+every row that reads one: the algebra rows set the steps e_n against the
+closed energies, remainders and ln rho_n, and the residual lowers a state
+built from the steps with an L- whose steps come from the energies.
+
+``run`` is the one driver: it loops over the models, turns a numerical error
+raised in a probe into a fail row (an internal invariant tripping is a
+finding, not a crash), and computes each family's status and worst value.
+The library is called through module attributes, so wrapping one of them
+covers these calls.
 
 Within one run no probe result is computed twice.  The algebra, annihilation
 and moment probes read a model only through ``spec.ladder``, so ``run``
@@ -22,10 +28,11 @@ compared with its own analytic spectrum.  Nothing is kept between runs.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
-from . import coherent, fockrep, measure, models, oracle
+from . import coherent, measure, models, oracle
 from .exceptions import ConsistencyError, ConvergenceError, QuadratureError
 
 __all__ = ["REPORT_SCHEMA", "FAMILIES", "default_specs", "run"]
@@ -86,20 +93,22 @@ def _identities(spec):
 
 
 def _rho_product(spec):
-    for n in (10, 50, 200):
-        models.rho_log(spec, n)  # raises if product and closed split
-    yield "rho product vs closed form", 0.0, models.RHO_TOL, True
+    logs = np.log(models.step(spec, np.arange(1, 201))).tolist()
+    gap = max(abs(math.fsum(logs[:n]) - spec.ladder.rho_log(n)) for n in (10, 50, 200))
+    yield "rho product vs closed form", gap, models.RHO_TOL, gap <= models.RHO_TOL
 
 
 def _operators(spec):
-    ops = fockrep.build(spec, 40)
-    comm = fockrep.commutator_diagonal(ops)
-    expect = np.diff(models.step(spec, np.arange(40)))
+    # [L-, L+] = e_{N+1} - e_N on state n; shape invariance says R(N + 1) / unit
+    comm = np.diff(models.step(spec, np.arange(41)))
+    expect = models.remainder(spec, np.arange(1, 41)) / spec.energy_unit
     gap = float(np.max(np.abs(comm - expect) / np.maximum(expect, 1.0)))
     yield "commutator diagonal", gap, OPERATOR_TOL, gap <= OPERATOR_TOL
 
-    states = fockrep.states_by_raising(ops, 6)
-    gap = max(float(np.linalg.norm(v - e)) for v, e in zip(states, np.eye(7, 40)))
+    # |L+^n ground| = prod sqrt(e_k) against sqrt(rho_n) from the closed form
+    half = 0.5 * np.cumsum(np.log(models.step(spec, np.arange(1, 7))))
+    closed = 0.5 * np.array([spec.ladder.rho_log(n) for n in range(1, 7)])
+    gap = float(np.max(np.abs(np.expm1(half - closed))))
     yield "raising reconstruction", gap, OPERATOR_TOL, gap <= OPERATOR_TOL
 
 

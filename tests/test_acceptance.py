@@ -104,7 +104,7 @@ def test_c06_statistics_poissonian_and_sub_poissonian():
     # exponential profile: exactly Poissonian
     for mu in (1.0, 2.0):
         for z_abs in (0.5, 1.0, 2.0, 3.0):
-            s = stats.summary_for(expmass(mu), z_abs)
+            s = stats.summary_series(coherent.construct(expmass(mu), z_abs))
             target = (z_abs / mu) ** 2
             assert abs(s.mean - target) <= 1e-10 * max(1.0, target)
             assert abs(s.variance - target) <= 1e-10 * max(1.0, target)

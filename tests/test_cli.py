@@ -60,7 +60,13 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # values of a grid triple, with a Liouville grid for the oscillators and a
 # grid in t = y + ln s for exp-mass (only the spectrum levels, their
 # rel_error or value, the spectrum max_rel_error and the oracle's new
-# error_bar column moved)
+# error_bar column moved); verify, verify_annihilation, verify_all and
+# verify_corrupt_all were re-captured when the algebra rows began to set the
+# steps against the closed remainders and ln rho_n instead of dense
+# matrices built from the same steps, and the residual's L- began to read
+# its steps from the energies (only round-off values moved without the
+# control; under --corrupt-steps the commutator, raising, rho product and
+# residual rows now fail)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -114,7 +120,8 @@ def test_coherent_json_record_round_trip(capsys):
     rec = json.loads(out)
     assert rec["model"] == "exp-mass"
     assert rec["z_re"] == 1.0 and rec["z_im"] == 0.5
-    coeffs = coherent.coeffs_from_record(rec)
+    log_mag, re_part, im_part = np.asarray(rec["coeffs"]).T
+    coeffs = np.exp(log_mag) * (re_part + 1j * im_part)
     assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -306,12 +306,18 @@ def test_label_continuity_rejects_nonpositive():
 # ----------------------------------------------------------- serialization
 
 
+def _coeffs_from_record(record):
+    """The window's complex coefficients from the record's (log_mag, re, im) rows."""
+    log_mag, re_part, im_part = np.asarray(record["coeffs"]).T
+    return np.exp(log_mag) * (re_part + 1j * im_part)
+
+
 def test_record_round_trip():
     spec = nonlinear(0.27)
     st = coherent.construct(spec, 0.4 - 1.2j)
     rec = coherent.to_record(st)
     json.dumps(rec)  # must be plain data
-    back = coherent.coeffs_from_record(rec)
+    back = _coeffs_from_record(rec)
     assert np.allclose(back, st.coeffs(), atol=1e-15)
     assert rec["model"] == "nonlinear-osc"
     assert rec["dim"] == st.dim
@@ -321,7 +327,7 @@ def test_record_with_window_round_trip():
     st = coherent.construct(expmass(0.5), 30.0 * cmath.exp(0.7j))
     rec = json.loads(json.dumps(coherent.to_record(st)))
     assert rec["n0"] == st.n0 > 0
-    assert np.allclose(coherent.coeffs_from_record(rec), st.coeffs(), atol=1e-15)
+    assert np.allclose(_coeffs_from_record(rec), st.coeffs(), atol=1e-15)
     # shallow states keep the record as it was, without the key
     assert "n0" not in coherent.to_record(coherent.construct(expmass(0.5), 1.0))
 

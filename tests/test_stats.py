@@ -224,11 +224,6 @@ def test_match_mean_refuses_unreachable_target(target):
         stats.match_mean_abs_z(nonlinear(2.0), target)
 
 
-def test_summary_for_convenience():
-    s = stats.summary_for(nonlinear(0.1), 1.0)
-    assert s.mean == pytest.approx(MEAN_Q01_Z1, rel=1e-12)
-
-
 @pytest.mark.parametrize("z_abs", [20.0, 25.0, 30.0])
 def test_expmass_deep_labels_classify_poissonian(z_abs):
     # series round-off puts |Q| near 1e-8 at <n> = (|z|/mu)^2 ~ 2500; the

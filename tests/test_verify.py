@@ -1,5 +1,6 @@
 """The verification families as library code."""
 
+import dataclasses
 import json
 
 import pytest
@@ -58,8 +59,8 @@ def test_one_solve_per_distinct_hamiltonian_per_run(monkeypatch):
 
 
 def test_one_probe_run_per_distinct_ladder_per_run(monkeypatch):
-    ladders = {"build": [], "verify_moments": [], "construct": []}
-    for module, name in [(verify.fockrep, "build"), (verify.measure, "verify_moments"),
+    ladders = {"remainder": [], "verify_moments": [], "construct": []}
+    for module, name in [(verify.models, "remainder"), (verify.measure, "verify_moments"),
                          (verify.coherent, "construct")]:
         real = getattr(module, name)
 
@@ -70,9 +71,10 @@ def test_one_probe_run_per_distinct_ladder_per_run(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     first = verify.run(only=["algebra", "annihilation", "moments"], nmax=2)
-    # nonlinear-osc and bounded-osc at one q close one ladder; exp-mass its own
+    # nonlinear-osc and bounded-osc at one q close one ladder; exp-mass its own.
+    # remainder is read once by the identities and once by the commutator
     counts = {name: len(calls) for name, calls in ladders.items()}
-    assert counts == {"build": 2, "verify_moments": 2, "construct": 6}
+    assert counts == {"remainder": 4, "verify_moments": 2, "construct": 6}
     assert all(len(set(calls)) == 2 for calls in ladders.values())
     # nothing is kept from one run to the next
     assert verify.run(only=["algebra", "annihilation", "moments"], nmax=2) == first
@@ -112,18 +114,58 @@ def test_a_raising_probe_is_not_shared(monkeypatch):
 
 
 def test_rows_before_a_raise_are_kept_for_each_model(monkeypatch):
-    def broken(ops, n_max):
-        raise verify.ConsistencyError(f"chain broke for {ops.spec.id}")
+    # the raising row, after the commutator row, is the first to read rho_log
+    def broken(ladder, n):
+        raise verify.ConsistencyError(f"closed rho broke at n = {n}")
 
-    monkeypatch.setattr(verify.fockrep, "states_by_raising", broken)
+    for ladder in (verify.models.QuadraticLadder, verify.models.LinearLadder):
+        monkeypatch.setattr(ladder, "rho_log", broken)
     (report,) = verify.run(only=["algebra"])
     rows = [(d["model"], d["item"], d.get("error")) for d in report["details"]
             if d["item"] in ("commutator diagonal", "operator checks")]
     assert rows == [
         row for m in ("nonlinear-osc", "bounded-osc", "exp-mass")
         for row in [(m, "commutator diagonal", None),
-                    (m, "operator checks", f"ConsistencyError: chain broke for {m}")]
+                    (m, "operator checks", "ConsistencyError: closed rho broke at n = 1")]
     ]
+
+
+# rows whose two sides read only energies, or rho_0 = 1: a step bias cannot reach them
+ENERGY_ONLY = {"telescoping", "moment n=0"} | {f"level n={n}" for n in range(verify.LEVELS)}
+
+
+def test_corrupt_steps_fail_every_row_that_reads_a_step():
+    report = verify.run(corrupt=True)
+    passed = sorted((d["model"], d["item"]) for f in report for d in f["details"]
+                    if d["passed"])
+    assert passed == sorted((m, item) for m in ("nonlinear-osc", "bounded-osc", "exp-mass")
+                            for item in ENERGY_ONLY)
+    failed = {d["item"] for f in report for d in f["details"] if not d["passed"]}
+    assert failed == {
+        "step-energy identity", "commutator diagonal", "raising reconstruction",
+        "rho product vs closed form", "residual |z|=0.5", "residual |z|=1.5",
+        "residual |z|=3.0", *(f"moment n={n}" for n in range(1, 9)),
+    }
+    assert len(passed) == 18 and sum(len(f["details"]) for f in report) == 63
+    status = {f["check_name"]: f["status"] for f in report}
+    assert status == {"spectral_algebra": "fail", "annihilation": "fail",
+                      "moments": "fail", "spectrum": "pass"}
+
+
+def test_a_step_bias_of_1e_8_fails_every_step_reading_algebra_and_residual_row(monkeypatch):
+    real = verify.default_specs
+
+    def biased(corrupt=False):
+        return [dataclasses.replace(s, step_bias=1e-8) for s in real(corrupt)]
+
+    monkeypatch.setattr(verify, "default_specs", biased)
+    algebra, annihilation, moments = verify.run(only=["algebra", "annihilation", "moments"])
+    assert all(d["passed"] == (d["item"] == "telescoping") for d in algebra["details"])
+    assert not any(d["passed"] for d in annihilation["details"])
+    # a moment's relative error grows like n * 1e-8, far below MOMENT_TOL = 1e-6,
+    # so at this bias the moment family cannot fail
+    assert verify.measure.MOMENT_TOL == 1e-6
+    assert moments["status"] == "pass"
 
 
 def test_coarse_oscillator_grid_leaves_fail_rows():
