@@ -19,9 +19,8 @@ w~(xi) = exp(-xi/mu^2)/mu^2 (exp-mass; constant-mass limit: exp(-xi)).
 ``verify_moments`` sums the weight against xi^n on one fixed grid in
 u = ln xi and compares against exp(rho_log_label(n)) computed from the
 ladder steps.  The two routes share no formula, which is the point.  One
-array of weights, a single ``specfn.bessel_k`` call, serves every n; the
-check holds at n_max = 8 for q from 1e-3 to 5 and for exp-mass with mu
-from 1e-6 to 1e4.
+array of weights serves every n; the check holds at n_max = 8 for q from
+1e-10 to 5 and for exp-mass with mu from 1e-6 to 1e4.
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ConsistencyError
-from .specfn import bessel_k, hyp0f1, hyp0f1_term_log, hyp0f1_terms, log_gamma, pochhammer_log
+from .specfn import bessel_density_log, hyp0f1, hyp0f1_term_log, hyp0f1_terms, pochhammer_log
 
 __all__ = [
     "MODEL_IDS",
@@ -146,11 +146,7 @@ class QuadraticLadder:
 
     def weight_log(self, xi):
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
-        nu = 1.0 + 1.0 / self.q
-        u = xi / self.q
-        log_k = bessel_k(nu, 2.0 * np.sqrt(u))
-        const = math.log(2.0) - math.log(self.q) - log_gamma(self.b)
-        return const + 0.5 * nu * np.log(u) + log_k
+        return bessel_density_log(1.0 + 1.0 / self.q, xi / self.q) - math.log(self.q)
 
 
 @dataclass(frozen=True)

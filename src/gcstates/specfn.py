@@ -1,21 +1,20 @@
 """Special-function kernels.
 
-Everything downstream leans on four primitives: the log-gamma function, the
-log-Pochhammer symbol, the confluent limit function 0F1 and the modified
-Bessel function K_nu.  Every 0F1, real (a ladder's ln N, <n> and var) or
-complex (the overlap kernel's), is summed on one window of its series terms
-around their mode (``hyp0f1_terms``), anchored by Stirling's formula for
-the first term.  For a complex |w| past 1e8 ``hyp0f1`` instead takes
+Everything downstream leans on three primitives: the log-Pochhammer symbol,
+the confluent limit function 0F1 and the modified Bessel function K_nu.
+Every 0F1, real (a ladder's ln N, <n> and var) or complex (the overlap
+kernel's), is summed on one window of its series terms around their mode
+(``hyp0f1_terms``), anchored by Stirling's formula for the first term.  For
+a complex |w| past 1e8 ``hyp0f1`` instead takes
 Gamma(b) w^{(1-b)/2} I_{b-1}(2 sqrt w), with the scaled Bessel function from
 Amos's algorithm (ACM TOMS 12 (1986) 265, Algorithm 644,
-``scipy.special.ive``), wherever that is finite.  K_nu, for a float or an
-array of arguments, comes from the same algorithm (``kve``) where it is
-finite, from forward recurrence in the order where K_nu itself overflows a
-double (small x at large nu), and from Hankel's series beyond Amos's
+``scipy.special.ive``), wherever that is finite.  K_nu comes from the same
+algorithm (``kve``) below the order DEBYE_NU_MIN = 12, and from Debye's
+uniform expansion (DLMF 10.41; Olver 1974, ch. 10) above it and past Amos's
 argument limit x ~ 1.07e9.
 
 Magnitudes are wild (generalized factorials grow faster than n!), so the
-kernels work in log space: ``log_gamma``, ``pochhammer_log`` and ``bessel_k``
+kernels work in log space: ``pochhammer_log`` and the two Bessel routines
 return logarithms, and ``hyp0f1`` returns the complex ln 0F1.
 
 ``integrate_halfline``, adaptive quadrature over (0, inf), is kept as the
@@ -31,6 +30,7 @@ evaluations, say), and ``integrate_halfline`` looks it up by that name.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,21 +41,14 @@ from .exceptions import ConvergenceError, QuadratureError
 
 __all__ = [
     "SeriesResult",
-    "log_gamma",
     "pochhammer_log",
     "hyp0f1_term_log",
     "hyp0f1_terms",
     "hyp0f1",
     "bessel_k",
+    "bessel_density_log",
     "integrate_halfline",
 ]
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 #: least z whose Binet remainder is a series; its next term is below 1e-18 there
@@ -128,7 +121,7 @@ def hyp0f1_terms(b: float, w: complex):
     """
     size = abs(w)
     # the positive root of n (n + |b - 1|) = |w|; `or 1.0` spares 0/0 at w = 0, b = 1
-    mode = 2.0 * size / ((abs(b - 1.0) + math.sqrt((b - 1.0) ** 2 + 4.0 * size)) or 1.0)
+    mode = 2.0 * size / ((abs(b - 1.0) + math.hypot(b - 1.0, 2.0 * math.sqrt(size))) or 1.0)
     if not mode <= HYP0F1_MODE_MAX:
         raise ValueError(f"|w| = {size:g} puts the 0F1 window's mode past "
                          f"n = {HYP0F1_MODE_MAX:g}")
@@ -180,75 +173,86 @@ def hyp0f1(b: float, w: complex) -> SeriesResult:
     return SeriesResult(complex(value.real, math.remainder(value.imag, math.tau)), len(n))
 
 
-#: Amos's argument limit (2**31 - 1)/2 ~ 1.07e9: kve and ive are NaN beyond it
-AMOS_X_MAX = (2**31 - 1) / 2
-
-#: highest order the forward recurrence climbs to, one array pass per order
-BESSEL_K_ORDER_MAX = 100_000
+#: least order at which K_nu comes from Debye's expansion, not kve
+DEBYE_NU_MIN = 12.0
 
 
 def bessel_k(nu: float, x):
     """ln K_nu(x) for nu >= 0 and x > 0, a float or an array of them.
 
-    * ln kve(nu, x) - x, with kve = K e^x from Amos's algorithm, wherever
-      kve is finite.
-    * where K_nu itself overflows (small x at large order, e.g. nu = 101,
-      x = 1e-3): kve at the orders mu = nu - floor(nu) and mu + 1, then the
-      ratio r of neighbouring orders carried up by r <- 1/r + 2(mu + m)/x,
-      summing ln r, up to BESSEL_K_ORDER_MAX.  Forward recurrence is the
-      stable direction for K, the dominant solution (DLMF 10.29).
-    * x > AMOS_X_MAX, where kve is NaN: Hankel's large-argument series
-      1/2 ln(pi/2x) - x + ln sum_k a_k(nu)/x^k, accepted once its last kept
-      term is below 1e-16.
-
-    Elsewhere ValueError, naming nu and the range of x refused.  A float x
-    gives a float.
+    Below DEBYE_NU_MIN, ln kve(nu, x) - x with Amos's kve = K e^x.  From it
+    on at every x, and past Amos's limit x ~ 1.07e9 (kve NaN) at any nu > 0,
+    Debye's ln(pi/2nu)/2 - nu (s - asinh(nu/x)) + ln sum - ln s/2 (see
+    _debye), within 3e-14 of ln K at nu = 12 to 13.5.  Where neither answers
+    (K_nu or nu/x past the double range, or nu = 0 past Amos's limit)
+    ValueError names nu and the x refused.  A float x gives a float.
     """
-    from scipy.special import kve
-
     if nu < 0:
         raise ValueError(f"bessel_k requires nu >= 0, got {nu}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(xs > 0):
         raise ValueError(f"bessel_k requires x > 0, got {np.min(xs)}")
-    out = np.log(kve(nu, xs)) - xs  # inf where K_nu overflows, NaN past Amos
-    far = np.isnan(out)
-    out[far] = [_bessel_k_hankel(nu, v) for v in xs[far]]
-    near = np.isinf(out)
-    if near.any() and nu <= BESSEL_K_ORDER_MAX:
-        x_near, mu = xs[near], nu - math.floor(nu)
-        k0 = kve(mu, x_near)
-        log_k = np.log(k0) - x_near
-        # at subnormal x the starting orders overflow too: no finite result
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = kve(mu + 1.0, x_near) / k0  # K_{mu+1}/K_mu; e^x cancels
-            for m in range(1, math.floor(nu) + 1):
-                log_k += np.log(r)  # now ln K_{mu+m}
-                r = 1.0 / r + 2.0 * (mu + m) / x_near
-        out[near] = log_k
+    out = np.full(xs.shape, math.nan)
+    if nu < DEBYE_NU_MIN:
+        from scipy.special import kve
+
+        out = np.log(kve(nu, xs)) - xs  # inf where K_nu overflows, NaN past Amos
+    debye = np.isnan(out) & (nu > 0)
+    if debye.any():
+        s, _, rest = _debye(nu, xs[debye])
+        with np.errstate(over="ignore"):  # an infinite nu/x is refused below
+            out[debye] = (0.5 * math.log(math.pi / (2.0 * nu)) + rest
+                          - nu * (s - np.arcsinh(nu / xs[debye])))
     refused = ~np.isfinite(out)
     if refused.any():
-        raise ValueError(
-            f"bessel_k({nu}, x) refuses x in [{xs[refused].min():.6g}, "
-            f"{xs[refused].max():.6g}]: Hankel's series needs nu^2 << x, the "
-            f"recurrence order <= {BESSEL_K_ORDER_MAX} and x not subnormal"
-        )
+        raise ValueError(f"bessel_k({nu}, x) refuses x in [{xs[refused].min():.6g}, "
+                         f"{xs[refused].max():.6g}]: K_nu (below nu = {DEBYE_NU_MIN:g}) "
+                         f"or nu/x must fit a double, and nu > 0 past Amos's limit")
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _bessel_k_hankel(nu: float, x: float) -> float:
-    """ln K_nu(x) by Hankel's series, or NaN if no term reaches 1e-16."""
-    mu = 4.0 * nu * nu
-    total = term = 1.0
-    for k in range(1, 64):
-        nxt = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(nxt) >= abs(term):
-            return math.nan  # the asymptotic series turned before converging
-        term = nxt
-        total += term
-        if abs(term) < 1e-16:
-            return 0.5 * math.log(math.pi / (2.0 * x)) - x + math.log(total)
-    return math.nan
+def bessel_density_log(nu: float, u):
+    """ln[2 u^{nu/2} K_nu(2 sqrt u) / Gamma(nu + 1)], nu >= 0, u finite > 0 (or an array).
+
+    The density with Mellin transform Gamma(s) Gamma(s + nu)/Gamma(nu + 1).  Below
+    DEBYE_NU_MIN it adds bessel_k to ln 2 - ln Gamma(nu + 1) + nu/2 ln u, parts
+    O(nu ln nu) that cancel; from it on Debye's sum at x = 2 sqrt u (see _debye) and
+    Stirling give nu (log1p(d/2) - d) - ln nu - mu(nu) + ln sum - ln s/2, all O(1).
+    """
+    us = np.asarray(u, dtype=float)
+    if not np.all((us > 0) & (us < math.inf)):
+        raise ValueError(f"bessel_density_log needs finite u > 0, got [{us.min()}, {us.max()}]")
+    x = 2.0 * np.sqrt(us)
+    if nu < DEBYE_NU_MIN:
+        out = math.log(2.0) - math.lgamma(nu + 1.0) + 0.5 * nu * np.log(us) + bessel_k(nu, x)
+    else:
+        _, d, rest = _debye(nu, x)
+        out = nu * (np.log1p(0.5 * d) - d) - math.log(nu) - _binet(nu) + rest
+    return float(out) if np.ndim(u) == 0 else out
+
+
+def _debye(nu: float, x):
+    """(s, d, ln sum - ln s/2) of Debye's K_nu(nu z) ~ (pi/2nu)^(1/2) e^{-nu eta} sum/s^(1/2):
+    z = x/nu, s = sqrt(1 + z^2), d = s - 1, sum = sum_{k<16} (-1)^k U_k(1/s)/nu^k, DLMF 10.41.4."""
+    z = x / nu
+    s = np.hypot(1.0, z)
+    tail = np.zeros_like(s)  # sum - 1: U_0 = 1 is the only constant term
+    for c in ((-1.0 / nu) ** np.arange(16) @ _debye_table())[:0:-1]:
+        tail = tail / s + c
+    return s, z * (z / (1.0 + s)), np.log1p(tail / s) - 0.5 * np.log(s)
+
+
+@functools.cache
+def _debye_table():
+    """Row k < 16: U_k(p) by power of p, built on first use from U_0 = 1 and
+    U_{k+1} = p^2 (1 - p^2) U_k'/2 + int_0^p (1 - 5t^2) U_k dt / 8 (DLMF 10.41.10)."""
+    table = np.eye(16, 46)  # U_0 = 1; rows 1..15 are overwritten
+    j = np.arange(1.0, 46.0)
+    for k in range(1, 16):
+        u, du = table[k - 1], j * table[k - 1, 1:]
+        table[k, 1:] = (u[:-1] - 5.0 * np.append([0.0, 0.0], u[:-3])) / (8.0 * j)
+        table[k, 2:] += 0.5 * (du[:-1] - np.append([0.0, 0.0], du[:-3]))
+    return table
 
 
 def quad(*args, **kwargs):

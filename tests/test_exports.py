@@ -99,7 +99,8 @@ import contextlib, io, json, sys
 import gcstates, gcstates.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-stages = {"import": scipy_modules()}
+stages = {"import": scipy_modules(),
+          "polynomial": sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))}
 for args in (["coherent", "--z", "1+1i"], ["stats", "--z", "1.5"], ["fig1", "--zsq", "2"],
              ["spectrum"], ["moments", "--model", "exp-mass"], ["verify"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -113,6 +114,7 @@ def test_only_verify_loads_scipy_and_never_optimize_or_integrate():
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
     assert stages.pop("import") == []
+    assert stages.pop("polynomial") == []  # import builds no Debye table
     verify_code, verify_loaded = stages.pop("verify")
     assert stages == {cmd: [0, []] for cmd in ("coherent", "stats", "fig1", "spectrum", "moments")}
     assert verify_code == 0

@@ -77,14 +77,15 @@ def test_moments_reproduce_factorials(spec):
 
 @pytest.mark.parametrize(
     "model,param",
-    [("nonlinear-osc", q) for q in (1e-3, 5e-3, 0.01, 0.02, 0.5, 2.0, 5.0)]
+    [("nonlinear-osc", q) for q in (1e-10, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.02,
+                                     0.5, 2.0, 5.0)]
     + [("bounded-osc", 0.02), ("exp-mass", 1e-6), ("exp-mass", 1e4)],
 )
 def test_moments_across_the_q_range(model, param):
-    # nu = 1 + 1/q runs from 1.2 to 1001; below q = 0.02 the small-xi
-    # weight needs the recurrence route of bessel_k, where kve overflows.
-    # For exp-mass the parameter is mu, which moves the weight's scale
-    # across eight decades of the fixed grid.
+    # nu = 1 + 1/q runs from 1.2 to 1e10: below q = 1/11 (nu = 12) the
+    # weight comes from Debye's expansion, whose parts stay O(1), and above
+    # it from kve.  For exp-mass the parameter is mu, which moves the
+    # weight's scale across eight decades of the fixed grid.
     key = "mu" if model == "exp-mass" else "nonlinearity"
     reports = measure.verify_moments(models.make_model(model, **{key: param}), n_max=8)
     assert [r.n for r in reports] == list(range(9))

@@ -2,6 +2,7 @@
 
 Labels run over the three families with q in [1e-4, 5], mu in [0.1, 10],
 |zeta| in [1e-2, 1e3] and any phase, so windows reach n0 ~ 1e6.  The
+moment check runs over both oscillators with q in [1e-10, 5].  The
 examples are derandomized, so the suite stays deterministic.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcstates import coherent, models, stats
+from gcstates import coherent, measure, models, stats
 
 EPS = 1e-12
 
@@ -70,3 +71,15 @@ def test_coherent_state_cross_checks(label):
     if log_p1 <= 2.0 * math.log(EPS):
         assert state.n0 > 0
 
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(st.sampled_from(["nonlinear-osc", "bounded-osc"]),
+       st.floats(math.log(1e-10), math.log(5.0)))
+@example("nonlinear-osc", math.log(1e-10))
+@example("bounded-osc", math.log(5.0))
+def test_moments_reproduce_rho_across_the_q_range(model_id, log_q):
+    spec = models.make_model(model_id, nonlinearity=math.exp(log_q))
+    reports = measure.verify_moments(spec, n_max=8)
+    assert [r.n for r in reports] == list(range(9))
+    assert all(r.passed for r in reports), [r.rel_error for r in reports]

@@ -6,23 +6,28 @@ kernel at complex(x, 0) below.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
+from gcstates import measure
 from gcstates.exceptions import ConvergenceError, QuadratureError
 from gcstates.models import QuadraticLadder
 from gcstates.specfn import (
-    AMOS_X_MAX,
+    DEBYE_NU_MIN,
     HYP0F1_SERIES_MAX,
+    bessel_density_log,
     bessel_k,
     hyp0f1,
     hyp0f1_term_log,
     integrate_halfline,
-    log_gamma,
     pochhammer_log,
 )
+
+# Amos's argument limit (2**31 - 1)/2 ~ 1.07e9: kve is NaN beyond it
+AMOS_X_MAX = (2**31 - 1) / 2
 
 # frozen from a 30-digit arbitrary-precision evaluation
 F01_1_1 = 2.27958530233606727
@@ -42,23 +47,6 @@ def real_0f1_log(b, x):
     if b > 2.0:
         return QuadraticLadder(1.0 / (b - 2.0), 1.0).norm_log(x / (b - 2.0))
     return hyp0f1(b, complex(x, 0.0)).value.real
-
-
-def test_log_gamma_matches_lgamma():
-    for x in (0.5, 1.0, 3.7, 12.0, 200.0):
-        assert log_gamma(x) == math.lgamma(x)
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-
-
-def test_log_gamma_shift_recurrence():
-    # ln G(x+1) = ln G(x) + ln x
-    for x in (0.3, 1.0, 4.5, 77.0, 1e4):
-        gap = log_gamma(x + 1.0) - log_gamma(x) - math.log(x)
-        assert abs(gap) <= 1e-12 * max(1.0, abs(log_gamma(x)))
 
 
 def test_hyp0f1_contiguous_recurrence():
@@ -307,9 +295,9 @@ def test_bessel_k_against_mpmath(nu, x):
 
 
 def test_bessel_k_region_boundaries():
-    # kve answers up to Amos's argument limit and returns NaN beyond it
-    # (Hankel route); it overflows to inf where K_nu itself exceeds the
-    # double range, small x at large order (recurrence route)
+    # kve answers up to Amos's argument limit and returns NaN beyond it, and
+    # overflows to inf where K_nu itself exceeds the double range (small x at
+    # large order): Debye's expansion answers in both places
     assert math.isfinite(sp.kve(1.2, AMOS_X_MAX))
     assert math.isnan(sp.kve(1.2, math.nextafter(AMOS_X_MAX, math.inf)))
     assert sp.kve(101.0, 1e-3) == math.inf
@@ -320,22 +308,17 @@ def test_bessel_k_region_boundaries():
 @pytest.mark.parametrize(
     "nu,x",
     [
-        (101.0, 1e-4),  # kve overflows: recurrence
-        (101.0, 1e-3),  # kve overflows: recurrence
-        (1.2, 2e9),  # kve NaN: Hankel
-        (101.0, 1e11),  # kve NaN: Hankel
-        (1e4, 2e9),  # kve NaN: Hankel, whose sum differs from 1 by 0.025
-        (1e5, 2e9),  # kve NaN, Hankel diverges at once (nu^2 > x): refused
+        (101.0, 1e-4),  # kve overflows: Debye
+        (101.0, 1e-3),  # kve overflows: Debye
+        (1.2, 2e9),  # kve NaN: Debye below DEBYE_NU_MIN
+        (101.0, 1e11),  # kve NaN: Debye
+        (1e4, 2e9),  # kve NaN: Debye
+        (1e5, 2e9),  # kve NaN, and nu^2 > x: a large-x series diverges at once
     ],
 )
 def test_bessel_k_fallback_routes(nu, x):
     mpmath = pytest.importorskip("mpmath")
     assert not math.isfinite(sp.kve(nu, x))
-    if x > AMOS_X_MAX and 4.0 * nu * nu > 8.0 * x:
-        # Hankel's first correction already exceeds 1: no route answers
-        with pytest.raises(ValueError, match=r"bessel_k\(100000.0, x\)"):
-            bessel_k(nu, x)
-        return
     with mpmath.workdps(30):
         ref = float(mpmath.log(mpmath.besselk(nu, x)))
     # a few ulps of ln K, which at x ~ 1e9 is far tighter than relative 1e-13
@@ -351,15 +334,84 @@ def test_bessel_k_rejects_bad_arguments():
         bessel_k(1.0, np.array([1.0, -1.0]))
 
 
-def test_bessel_k_refuses_past_the_recurrence_order_cap():
-    # kve overflows, and the recurrence would climb 1e6 orders
-    with pytest.raises(ValueError, match=r"recurrence order <= 100000"):
-        bessel_k(1e6, np.array([1.0, 2.0]))
+@pytest.mark.parametrize(
+    "nu,x",
+    [
+        (0.0, 2e9),  # past Amos's limit, where Debye needs nu > 0
+        (11.9, 1e-26),  # K_nu overflows a double, and nu is below DEBYE_NU_MIN
+        (DEBYE_NU_MIN, 1e-310),  # nu/x overflows a double
+    ],
+)
+def test_bessel_k_refuses_where_neither_route_answers(nu, x):
+    message = f"bessel_k({nu}, x) refuses x in [{x:g}, {x:g}]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bessel_k(nu, np.array([1.0, x]))
+
+
+def mp_log_besselk(nu, x):
+    """ln K_nu(x) to 40 digits from K = int_0^inf e^{-x cosh t} cosh(nu t) dt.
+
+    The integrand, scaled by its value near the saddle sinh t* = nu/x, is
+    split at t* and at 10 and 40 of its widths (x^2 + nu^2)^(-1/4) either
+    side; mpmath.besselk takes seconds per call at nu = 1e6 and does not
+    converge at nu = 1e10.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        nu, x = mpmath.mpf(nu), mpmath.mpf(x)
+        peak = mpmath.asinh(nu / x)
+        width = (x * x + nu * nu) ** mpmath.mpf(-0.25)
+        cosh_peak = mpmath.cosh(peak)
+
+        def scaled(t):
+            return (mpmath.exp(nu * (t - peak) - x * (mpmath.cosh(t) - cosh_peak))
+                    * (1 + mpmath.exp(-2 * nu * t)) / 2)
+
+        cuts = [peak + k * width for k in (-40, -10, 0, 10, 40)]
+        total = mpmath.quad(scaled, [mpmath.mpf(0)] + [t for t in cuts if t > 0])
+        return mpmath.log(total) + nu * peak - x * cosh_peak
+
+
+def test_bessel_k_at_huge_order_against_a_40_digit_integral():
+    # kve overflows at nu = 1e6, x = 1 and 2
+    pytest.importorskip("mpmath")
+    for nu, x in ((1e6, [1.0, 2.0]), (1e10, [1e5, 3e10])):
+        for got, v in zip(bessel_k(nu, np.array(x)), x):
+            ref = float(mp_log_besselk(nu, v))
+            assert abs(got - ref) <= 1e-13 * abs(ref), (nu, v)
+
+
+@pytest.mark.parametrize("q", [1e-10, 1e-6, 1e-4, 0.01, 1.0 / 11.0, 0.1, 1.0, 5.0])
+def test_weight_log_against_a_40_digit_integral(q):
+    # ln w~(xi) = ln 2 - ln q - ln Gamma(nu + 1) + nu/2 ln u + ln K_nu(2 sqrt u),
+    # u = xi/q and nu = 1 + 1/q, at 9 of the moment grid's nodes where w~ is
+    # a normal double; q = 1/11 puts nu at DEBYE_NU_MIN, q = 0.1 just below
+    mpmath = pytest.importorskip("mpmath")
+    ladder = QuadraticLadder(q, 1.0)
+    xi = np.exp(measure._U)
+    log_w = ladder.weight_log(xi)
+    normal = np.flatnonzero(np.abs(log_w) < 708.0)
+    for i in normal[np.linspace(0, normal.size - 1, 9).astype(int)]:
+        with mpmath.workdps(40):
+            q_mp, nu = mpmath.mpf(q), 1 + 1 / mpmath.mpf(q)
+            u = float(xi[i]) / q_mp
+            ref = float(mpmath.log(2 / q_mp) - mpmath.loggamma(nu + 1) + nu / 2 * mpmath.log(u)
+                        + mp_log_besselk(nu, 2 * mpmath.sqrt(u)))
+        assert abs(log_w[i] - ref) <= 1e-13 * max(1.0, abs(ref)), (q, xi[i])
+
+
+@pytest.mark.parametrize("nu", [11.0, DEBYE_NU_MIN, 1e10])
+@pytest.mark.parametrize("u", [0.0, -1.0, math.inf, math.nan])
+def test_bessel_density_log_refuses_a_bad_argument(nu, u):
+    with pytest.raises(ValueError, match="needs finite u > 0"):
+        bessel_density_log(nu, np.array([1.0, u]))
 
 
 @pytest.mark.parametrize("nu", [1.2, 51.0, 101.0, 1001.0])
 def test_bessel_k_array_matches_scalar_calls(nu):
-    # spans all three routes: recurrence, kve and Hankel
+    # spans both routes: kve, Debye below DEBYE_NU_MIN past Amos's limit,
+    # and Debye at every x above it
     x = np.concatenate([np.geomspace(1e-20, 1e9, 40), [2e9, 1e11]])
     got = bessel_k(nu, x)
     assert isinstance(got, np.ndarray) and got.shape == x.shape
