@@ -192,7 +192,7 @@ def cmd_fig1(args) -> int:
     lines = [",".join(header)]
     for panel, lam, ps in panels:
         prefix = f"{panel},{_fmt(lam)},"
-        lines += [f"{prefix}{n},0" if p == 0.0 else prefix + "%.15g,%.15g" % (n, p)
+        lines += [f"{prefix}{n},0" if p == 0.0 else f"{prefix}{n},{p:.15g}"
                   for n, p in enumerate(ps)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -123,8 +123,7 @@ class QuadraticLadder:
 
     def norm_log(self, x: float) -> float:
         """ln N(x) = ln 0F1(; b; x/q) = ln t_lo (Stirling) + ln sum of the window's products."""
-        n, p = self._terms(x)
-        return hyp0f1_term_log(self.b, x / self.q, int(n[0])) + math.log(p.sum())
+        return self.closed(x)[0]
 
     def kernel_log(self, w: complex) -> complex:
         """ln N(w) at the overlap's complex w = conj(zeta_a) zeta_b."""
@@ -132,20 +131,29 @@ class QuadraticLadder:
 
     def mean_var(self, x: float) -> tuple[float, float]:
         """(<n>, var n) of P_n ~ t_n on the window, the variance centred."""
-        n, p = self._terms(x)
+        return self._moments(x)[2:]
+
+    def closed(self, x: float) -> tuple[float, float, float]:
+        """(ln N, <n>, var n) from one window, with norm_log's and mean_var's arithmetic."""
+        lo, total, mean, var = self._moments(x)
+        return hyp0f1_term_log(self.b, x / self.q, lo) + math.log(total), mean, var
+
+    def _moments(self, x: float):
+        """(lo, sum, <n>, var n) of specfn.hyp0f1_terms at w = x/q; x < 0 raises ValueError."""
+        if x < 0:
+            raise ValueError(f"x = {x:g} is negative")
+        n, p = hyp0f1_terms(self.b, x / self.q)
         total = p.sum()
         mean = float(n @ p) / total
         d = n - mean
-        return mean, float((d * d) @ p) / total
-
-    def _terms(self, x: float):
-        """specfn.hyp0f1_terms at w = x/q; a negative x raises ValueError."""
-        if x < 0:
-            raise ValueError(f"x = {x:g} is negative")
-        return hyp0f1_terms(self.b, x / self.q)
+        return int(n[0]), total, mean, float((d * d) @ p) / total
 
     def weight_log(self, xi):
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
+        top = float(np.max(xi))
+        if math.isfinite(top) and top / self.q == math.inf:
+            raise ValueError(f"the weight at q = {self.q:g} overflows xi/q at xi = {top:g}; "
+                             f"q must be at least {top / sys.float_info.max:.2g} there")
         return bessel_density_log(1.0 + 1.0 / self.q, xi / self.q) - math.log(self.q)
 
 
@@ -182,6 +190,9 @@ class LinearLadder:
 
     def mean_var(self, x: float) -> tuple[float, float]:
         return x, x
+
+    def closed(self, x: float) -> tuple[float, float, float]:
+        return x, x, x
 
     def weight_log(self, xi):
         scale_sq = self.scale**2

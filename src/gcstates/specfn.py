@@ -116,7 +116,8 @@ def hyp0f1_terms(b: float, w: complex):
     of |t_n|, where the tails, no heavier than a Poisson's with its mode at
     n*, are below about 1e-17 of the sum of |t_n|.  p holds the running
     products t_n/t_lo of t_{n+1}/t_n = w/((b + n)(n + 1)), real for a real w
-    and complex for a complex one; ln t_lo is hyp0f1_term_log(b, |w|, lo)
+    and complex for a complex one, p[0] = 1 and the ratios' cumulative
+    product written behind it in place; ln t_lo is hyp0f1_term_log(b, |w|, lo)
     + i lo arg w.  A mode past HYP0F1_MODE_MAX, or a NaN w, raises ValueError.
     """
     size = abs(w)
@@ -128,7 +129,10 @@ def hyp0f1_terms(b: float, w: complex):
     half = int(9.0 * math.sqrt(mode + 1.0)) + 30
     lo = max(int(mode) - half, 0)
     n = np.arange(lo, int(mode) + half + 1, dtype=float)
-    p = np.cumprod(np.concatenate(([1.0], w / ((b + n[:-1]) * (n[:-1] + 1.0)))))
+    ratio = w / ((b + n[:-1]) * n[1:])  # n[1:] is n[:-1] + 1 exactly
+    p = np.empty(len(n), dtype=ratio.dtype)
+    p[0] = 1.0
+    ratio.cumprod(out=p[1:])
     return n, p
 
 

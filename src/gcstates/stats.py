@@ -97,20 +97,15 @@ def summary_series(state: CoherentState) -> StatsSummary:
     cancel the way <n^2> - <n>^2 does at a large mean.
     """
     p = distribution(state)
-    n = state.n0 + np.arange(state.dim, dtype=float)
+    n = np.arange(state.n0, state.n0 + state.dim, dtype=float)
     mean = float(np.dot(n, p))
     variance = float(np.dot((n - mean) ** 2, p))
     return _summary(state, mean, variance + mean**2, variance, "series")
 
 
-def _closed_mean_var(spec: ModelSpec, abs_z: float) -> tuple[float, float]:
-    """Closed-form (mean, variance) pair in the number operator."""
-    return spec.ladder.mean_var(abs_z**2 / spec.label_scale**2)
-
-
 def summary_closed(state: CoherentState) -> StatsSummary:
-    """Mean, variance and Mandel Q from the model's closed forms."""
-    mean, variance = _closed_mean_var(state.spec, abs(state.z))
+    """Mean, variance and Mandel Q from the closed forms construct kept on the state."""
+    mean, variance = state.mean_closed, state.var_closed
     return _summary(state, mean, variance + mean**2, variance, "closed_form")
 
 
@@ -118,7 +113,7 @@ def mandel_q_closed(spec: ModelSpec, abs_z: float) -> float:
     """Closed-form Mandel Q at label magnitude |z| without building a state."""
     if abs_z < 0:
         raise ValueError(f"abs_z must be nonnegative, got {abs_z}")
-    return _mandel_q(*_closed_mean_var(spec, abs_z))
+    return _mandel_q(*spec.ladder.mean_var(abs_z**2 / spec.label_scale**2))
 
 
 #: Newton steps match_mean_abs_z takes before it gives up

@@ -69,7 +69,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # residual rows now fail); verify_corrupt_moments, verify_all and
 # verify_corrupt_all were re-captured when the oscillators' weight began to
 # add ln q after the rest of the kve sum in specfn.bessel_density_log (only
-# the q = 0.1 moment values and their max_rel_error moved, by round-off)
+# the q = 0.1 moment values and their max_rel_error moved, by round-off);
+# stats_deep_osc (n0 = 43 and 81) and stats_deep_exp (n0 = 3106 and 2376)
+# were captured before the per-label path stopped building throwaway arrays,
+# the first goldens whose windows start past n = 0, so they pin the left
+# cumulative sum and the anchor ln(x^n0 / rho_n0)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -84,10 +88,14 @@ GOLDEN_CASES = [
      ["verify", "--corrupt-steps", "--only", "moments", "--nmax", "2"], 1),
     ("verify_all", ["verify"], 0),
     ("verify_corrupt_all", ["verify", "--corrupt-steps"], 1),
+    ("stats_deep_osc", ["stats", "--lambda-prime", "0.02", "--z", "20+3i", "28-1i"], 0),
+    ("stats_deep_exp", ["stats", "--model", "exp-mass", "--mu", "0.5",
+                        "--z", "30+5i", "25-10i"], 0),
 ]
 
 
-# ids name each case "<name>-args<i>", independent of the exit code column
+# ids name each case "<name>-args<i>", independent of the exit code column;
+# new cases go at the end so the earlier cases keep their ids
 @pytest.mark.parametrize(
     "name, args, exit_code", GOLDEN_CASES,
     ids=[f"{case[0]}-args{i}" for i, case in enumerate(GOLDEN_CASES)],
@@ -460,6 +468,13 @@ def test_bad_parameters_exit_two(args, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_tiny_q_refusal_names_q_and_the_moment_grid(capsys):
+    assert cli.main(["moments", "--lambda-prime", "1e-300", "--nmax", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the weight at q = 1e-300 overflows xi/q at xi = 1e+12; "
+        "q must be at least 5.6e-297 there\n")
+
+
 @pytest.mark.parametrize("alpha", ["1.4e154", "1e200"])
 def test_huge_expmass_alpha_is_refused_without_warnings(alpha):
     # in a fresh process, where a numpy RuntimeWarning would reach stderr;
@@ -599,8 +614,8 @@ def test_deep_labels_exit_zero(args, capsys):
 
 
 def test_fig1_coefficient_holds_its_digits_at_tiny_labels(capsys):
-    # P_1 = |z|^2 = 1e-300: c_1 = exp(ln c_1) keeps about |ln c_1| 2.2e-16
-    # relative, with ln c_1 = -345 here
+    # P_1 = |z|^2 = 1e-300: P_1 = |exp(ln c_1)|^2 keeps about
+    # (1 + |ln P_1|) 2.2e-16 relative, with ln P_1 = -691 here
     code, out = run(["fig1", "--zsq", "1e-300", "--nmax", "1"], capsys)
     assert code == 0
     p1 = float(out.splitlines()[2].split(",")[3])

@@ -155,6 +155,65 @@ def test_coeffs_on_pads_the_window_with_zeros():
     assert coherent.coeffs_on(st, 0, 10).tolist() == [0.0] * 10
 
 
+def _coeffs_on_padded(state, lo, hi):
+    """coeffs_on as it was before its in-window path: always a zero-filled buffer."""
+    out = np.zeros(max(hi - lo, 0), dtype=complex)
+    a, b = max(lo, state.n0), min(hi, state.n0 + state.dim)
+    if a < b:
+        k = slice(a - state.n0, b - state.n0)
+        out[a - lo : b - lo] = np.exp(state.log_coeff[k]) * state.phase[k]
+    return out
+
+
+def test_coeffs_on_equals_the_padded_formula_bit_for_bit():
+    st = coherent.construct(nonlinear(0.02), 28 - 1j)
+    n0, end = st.n0, st.n0 + st.dim
+    assert n0 > 0
+    ranges = {
+        "inside": (n0 + 3, end - 5), "equal": (n0, end), "left edge": (n0 - 4, n0 + 10),
+        "right edge": (end - 7, end + 3), "disjoint": (end + 2, end + 7),
+        "below": (0, n0), "empty": (n0 + 5, n0 + 5), "reversed": (end, n0),
+    }
+    for name, (lo, hi) in ranges.items():
+        got, want = coherent.coeffs_on(st, lo, hi), _coeffs_on_padded(st, lo, hi)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _phase_formula(theta, n0, dim):
+    """construct's general phases exp(i theta n0) exp(i theta k), k < dim."""
+    return cmath.exp(1j * theta * n0) * np.exp(1j * theta * np.arange(dim))
+
+
+@pytest.mark.parametrize("spec, z", [
+    (nonlinear(0.1), 1.5), (nonlinear(0.02), 28.0), (expmass(0.5), 30.0), (nonlinear(), 0.0),
+    (nonlinear(0.02), complex(28.0, -0.0)),
+])
+def test_real_label_phases_are_exactly_one(spec, z):
+    # theta = 0.0, or -0.0 for x - 0j, where the general formula gives 1 + 0j too
+    st = coherent.construct(spec, z)
+    theta = cmath.phase(st.zeta)
+    assert theta == 0.0
+    assert st.phase.tobytes() == np.ones(st.dim, dtype=complex).tobytes()
+    assert st.phase.tobytes() == _phase_formula(theta, st.n0, st.dim).tobytes()
+
+
+@pytest.mark.parametrize("zsq", [1e-300, 1e-8, 2.0, 20.0, 300.0])
+def test_distribution_holds_its_digits_against_poisson(zsq):
+    # P_n = exp(2 ln|c_n|) of a harmonic state, over its whole window, within
+    # (1 + |ln P_n|) 2e-15 of the 40-digit Poisson pmf (worst ratio to
+    # (1 + |ln P_n|) eps is 4.6, at zsq = 300)
+    mpmath = pytest.importorskip("mpmath")
+    harmonic = models.harmonic_limit(nonlinear())
+    st = coherent.construct(harmonic, math.sqrt(zsq))
+    p = np.exp(2.0 * st.log_coeff).tolist()
+    with mpmath.workdps(40):
+        x = mpmath.mpf(zsq)
+        for n, pn in enumerate(p, start=st.n0):
+            ref = mpmath.exp(n * mpmath.log(x) - x - mpmath.loggamma(n + 1))
+            assert float(abs(pn - ref) / ref) <= (1.0 + abs(math.log(pn))) * 2e-15, n
+
+
 def test_truncation_grows_with_label():
     dims = [coherent.construct(nonlinear(), z).dim for z in (0.5, 2.0, 5.0)]
     assert dims[0] < dims[1] < dims[2]

@@ -22,6 +22,7 @@ from gcstates.specfn import (
     bessel_k,
     hyp0f1,
     hyp0f1_term_log,
+    hyp0f1_terms,
     integrate_halfline,
     pochhammer_log,
 )
@@ -47,6 +48,16 @@ def real_0f1_log(b, x):
     if b > 2.0:
         return QuadraticLadder(1.0 / (b - 2.0), 1.0).norm_log(x / (b - 2.0))
     return hyp0f1(b, complex(x, 0.0)).value.real
+
+
+@pytest.mark.parametrize("w", [0.3, 40.0, 2.5e5, 7.0 + 3.0j, -40.0 + 9.0j, -0.5 - 2.0e4j])
+@pytest.mark.parametrize("b", [2.2, 12.0, 1e4])
+def test_hyp0f1_terms_equals_concatenate_then_cumprod(b, w):
+    # bit for bit wherever w has no -0.0 part; with one (2 - 0j, say) only the
+    # sign of the products' zero parts can differ
+    n, p = hyp0f1_terms(b, w)
+    ref = np.cumprod(np.concatenate(([1.0], w / ((b + n[:-1]) * (n[:-1] + 1.0)))))
+    assert p.dtype == ref.dtype and p.tobytes() == ref.tobytes()
 
 
 def test_hyp0f1_contiguous_recurrence():

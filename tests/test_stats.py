@@ -179,6 +179,18 @@ def test_match_mean_takes_few_steps(q, monkeypatch):
         assert 1 <= len(calls) <= 8, (target, len(calls))
 
 
+def test_summary_closed_equals_mean_var_bit_for_bit():
+    # construct keeps the closed <n> and var n; they must be mean_var's
+    rng = np.random.default_rng(7)
+    for spec in (nonlinear(0.02), models.make_model("bounded-osc", nonlinearity=1.3),
+                 nonlinear(0.5), expmass(0.5), expmass(2.0)):
+        for r, theta in zip(rng.uniform(0.0, 30.0, 12), rng.uniform(0.0, 2 * math.pi, 12)):
+            z = complex(r * math.cos(theta), r * math.sin(theta))
+            s = stats.summary_closed(coherent.construct(spec, z))
+            x = abs(z) ** 2 / spec.label_scale**2
+            assert (s.mean, s.variance) == spec.ladder.mean_var(x), (spec.id, z)
+
+
 def _mean_var_mp(q, w):
     """(<n>, var) of t_n = w^n / ((b)_n n!) from 0F1 ratios in 40 digits."""
     mpmath = pytest.importorskip("mpmath")
