@@ -12,7 +12,6 @@ from .coherent import (
     annihilation_residual,
     construct,
     label_continuity,
-    norm_log_closed,
     overlap,
 )
 from .exceptions import ConsistencyError, ConvergenceError, QuadratureError
@@ -49,7 +48,6 @@ __all__ = [
     "label_continuity",
     "lowest_eigenvalues",
     "make_model",
-    "norm_log_closed",
     "overlap",
     "radius",
     "remainder",

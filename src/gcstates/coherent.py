@@ -31,7 +31,7 @@ from .exceptions import ConsistencyError
 from .models import ModelSpec
 
 __all__ = [
-    "CoherentState", "PEAK_INDEX_MAX", "construct", "coeffs_on", "norm_log_closed",
+    "CoherentState", "PEAK_INDEX_MAX", "construct", "coeffs_on",
     "annihilation_residual", "overlap", "overlap_kernel", "label_continuity",
     "to_record",
 ]
@@ -50,9 +50,11 @@ class CoherentState:
     c_{n0+k}; log_norm is ln N from the direct series, and log_norm_closed,
     mean_closed and var_closed are ln N, <n> and var n from the closed form.
     tail_bound bounds the discarded probability mass, on both sides, relative
-    to the full norm.  P_n = exp(2 log_coeff) is good to (1 + |ln P_n|) 2.2e-16
-    relative for |zeta|^2 <= 2; the cumulative sums' error grows with the
-    distance from the mode, to (1 + |ln P_n|) 1e-15 at 300 and 2.3e-14 at 1e4.
+    to the full norm.  P_n = exp(2 log_coeff) is good to (1 + |ln P_n|) 4.4e-16
+    relative for |zeta|^2 <= 2 (against 40-digit references, at most 1.9 times
+    (1 + |ln P_n|) 2.2e-16 for exp-mass and for q = 0.1); the cumulative sums'
+    error grows with the distance from the mode, to (1 + |ln P_n|) 1e-15 at
+    300 and 2.3e-14 at 1e4.
     """
 
     spec: ModelSpec
@@ -72,13 +74,6 @@ class CoherentState:
     def coeffs(self) -> np.ndarray:
         """Normalized complex coefficient vector c_n0..c_{n0+dim-1}."""
         return np.exp(self.log_coeff) * self.phase
-
-
-def norm_log_closed(spec: ModelSpec, abs_z_sq: float) -> float:
-    """ln N(|z|^2) from the model's closed form, z the physical label."""
-    if abs_z_sq < 0:
-        raise ValueError(f"abs_z_sq must be nonnegative, got {abs_z_sq}")
-    return spec.ladder.norm_log(abs_z_sq / spec.label_scale**2)
 
 
 def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:

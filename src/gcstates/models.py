@@ -121,10 +121,6 @@ class QuadraticLadder:
         """ln[n! q^n (b)_n]."""
         return math.lgamma(n + 1) + (n * math.log(self.q) + pochhammer_log(self.b, n))
 
-    def norm_log(self, x: float) -> float:
-        """ln N(x) = ln 0F1(; b; x/q) = ln t_lo (Stirling) + ln sum of the window's products."""
-        return self.closed(x)[0]
-
     def kernel_log(self, w: complex) -> complex:
         """ln N(w) at the overlap's complex w = conj(zeta_a) zeta_b."""
         return hyp0f1(self.b, w / self.q).value
@@ -134,7 +130,7 @@ class QuadraticLadder:
         return self._moments(x)[2:]
 
     def closed(self, x: float) -> tuple[float, float, float]:
-        """(ln N, <n>, var n) from one window, with norm_log's and mean_var's arithmetic."""
+        """(ln N, <n>, var n) from one window; ln N = ln 0F1(; b; x/q) = ln t_lo + ln sum."""
         lo, total, mean, var = self._moments(x)
         return hyp0f1_term_log(self.b, x / self.q, lo) + math.log(total), mean, var
 
@@ -181,9 +177,6 @@ class LinearLadder:
 
     def rho_log(self, n: int) -> float:
         return math.lgamma(n + 1)
-
-    def norm_log(self, x: float) -> float:
-        return x
 
     def kernel_log(self, w: complex) -> complex:
         return w

@@ -120,14 +120,12 @@ def _residual(spec, z_abs):
 
 def _moments(spec, nmax):
     for rep in measure.verify_moments(spec, n_max=nmax):
-        cut = measure.MOMENT0_TOL if rep.n == 0 else measure.MOMENT_TOL
-        yield f"moment n={rep.n}", rep.rel_error, cut, rep.passed
+        yield f"moment n={rep.n}", rep.rel_error, rep.threshold, rep.passed
 
 
 def _levels(spec, points, solves):
     for comp in oracle.compare_spectrum(spec, LEVELS, points, solves):
-        tol = oracle.LEVEL_TOL
-        yield f"level n={comp.n}", comp.rel_error, tol, comp.rel_error < tol
+        yield f"level n={comp.n}", comp.rel_error, comp.threshold, comp.passed
 
 
 def run(

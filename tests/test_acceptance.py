@@ -86,7 +86,8 @@ def test_c04_normalization_closed_forms():
     for spec in grid_specs():
         for z_abs in (0.25, 1.0, 2.0, 3.5, 5.0):
             state = coherent.construct(spec, z_abs)
-            gap = abs(state.log_norm - coherent.norm_log_closed(spec, z_abs**2))
+            closed = spec.ladder.closed(z_abs**2 / spec.label_scale**2)[0]
+            gap = abs(state.log_norm - closed)
             assert gap <= 1e-9, f"{label(spec)} |z|={z_abs}: {gap:.3e}"
 
 

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gcstates import cli, coherent, models
+from gcstates import cli, coherent, models, oracle
 from gcstates.exceptions import QuadratureError
 
 
@@ -446,9 +446,6 @@ def test_out_writes_file(tmp_path, capsys):
         ["oracle", "--model", "exp-mass", "--alpha", "1.0001", "--points", "200"],
         ["oracle", "--model", "exp-mass", "--alpha", "1.001"],
         ["oracle", "--model", "exp-mass", "--alpha", "1.05"],
-        # oscillator grids whose zeta spacing is too coarse for the low states
-        ["oracle", "--lambda-prime", "1e-9", "--levels", "2", "--points", "100"],
-        ["oracle", "--lambda-prime", "1e-6", "--levels", "2", "--points", "100"],
         # a flag of the other model family
         ["spectrum", "--model", "exp-mass", "--lambda-prime", "0.5"],
         ["spectrum", "--mu", "3"],
@@ -458,6 +455,9 @@ def test_out_writes_file(tmp_path, capsys):
         ["oracle", "--lambda-prime", "0.9"],
         # xi/q overflows on the moment grid below q ~ 5.6e-297
         ["moments", "--lambda-prime", "1e-300", "--nmax", "2"],
+        # rho_2 = 2 q^2 (2 + 1/q)(3 + 1/q) overflows a double
+        ["moments", "--lambda-prime", "1e300", "--nmax", "2"],
+        ["moments", "--lambda-prime", "1e160"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):
@@ -466,6 +466,27 @@ def test_bad_parameters_exit_two(args, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_huge_q_refusal_names_q_and_the_first_overflowing_rho(capsys):
+    assert cli.main(["moments", "--lambda-prime", "1e160"]) == 2
+    assert capsys.readouterr().err == (
+        "error: nonlinear-osc at q = 1e+160: rho_2 overflows a double; "
+        "no moment n >= 2 can be checked\n")
+
+
+@pytest.mark.parametrize("q", ["1e-9", "1e-6"])
+def test_small_q_coarse_oracle_levels_are_within_their_bars(q, capsys):
+    # the coarse grid of --points 100 has M = 24 nodes, 0.51 apart in zeta at
+    # the centre; its levels still converge at order 2 and meet their bars
+    code, out = run(["oracle", "--lambda-prime", q, "--levels", "2", "--points", "100"],
+                    capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        rel_error, error_bar = float(row[5]), float(row[7])
+        assert rel_error <= error_bar < oracle.LEVEL_TOL
 
 
 def test_tiny_q_refusal_names_q_and_the_moment_grid(capsys):
@@ -637,7 +658,8 @@ def test_coherent_csv_gives_absolute_indices(capsys):
 
 NUMERICAL_FAILURES = [
     (["coherent", "--z", "1e200"], "OverflowError"),
-    (["moments", "--lambda-prime", "1e300", "--nmax", "2"], "OverflowError"),
+    # the weight's mass lies past the moment grid's end, xi = 1e12
+    (["moments", "--lambda-prime", "1e10", "--nmax", "2"], "QuadratureError"),
     # the weight's scale mu^2 = 1e-24 is too close to the moment grid's edge
     (["moments", "--model", "exp-mass", "--mu", "1e-12"], "QuadratureError"),
 ]

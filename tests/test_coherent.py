@@ -43,11 +43,10 @@ def test_norm_frozen_value():
 
 
 def test_norm_closed_expmass_is_exponential():
-    # N = exp(|z|^2 / mu^2)
-    assert coherent.norm_log_closed(expmass(2.0), 10.0) == pytest.approx(2.5)
-    assert math.exp(coherent.norm_log_closed(expmass(2.0), 10.0)) == pytest.approx(
-        EXP_25, rel=1e-14
-    )
+    # N = exp(|z|^2 / mu^2), x = |z|^2 / mu^2 in step units
+    log_norm = expmass(2.0).ladder.closed(10.0 / 4.0)[0]
+    assert log_norm == pytest.approx(2.5)
+    assert math.exp(log_norm) == pytest.approx(EXP_25, rel=1e-14)
 
 
 @pytest.mark.parametrize("spec", ALL, ids=IDS)
@@ -55,7 +54,7 @@ def test_norm_closed_expmass_is_exponential():
 def test_series_norm_matches_closed_form(spec, z_abs):
     st = coherent.construct(spec, z_abs)
     assert st.log_norm == pytest.approx(
-        coherent.norm_log_closed(spec, z_abs**2), abs=1e-9
+        spec.ladder.closed(z_abs**2 / spec.label_scale**2)[0], abs=1e-9
     )
 
 

@@ -1,6 +1,7 @@
 """Public names: the package's star import and every module's ``__all__``;
-no import, private function, class or constant goes unused; and scipy loads
-only when a routine computes with it."""
+no import, private function, class or constant goes unused; no public name
+goes unread unless its keeping is stated; and scipy loads only when a
+routine computes with it."""
 
 import ast
 import collections
@@ -161,3 +162,42 @@ def test_every_private_constant_is_referenced():
         and loads[target.id] <= 0
     ]
     assert unreferenced == []
+
+
+#: public names no module of the package loads, each with why it stays
+KEPT = {
+    "cli.VERIFY_REPORT_SCHEMA": "the benchmark harness validates verify reports against it",
+    "fockrep.build": "the benchmark's verify warm-up builds the ladder matrices with it",
+    "specfn.integrate_halfline": "the tests' adaptive-quadrature reference for the moment sum",
+    "stats.mandel_q_closed": "the acceptance test of the paper's sub-Poissonian claim",
+}
+
+
+def _loads(tree, skip=()):
+    """Names read in a tree, as plain names or attributes, outside the nodes in skip."""
+    for node in ast.walk(tree):
+        if node in skip or not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_public_name_is_loaded_or_kept():
+    # a module's __all__ name must be read somewhere in the package outside its
+    # own body; the package's __init__ re-export makes a name public API
+    package = set(gcstates.__all__)
+    unloaded = []
+    for module, tree in sorted(SOURCES.items()):
+        if module == "__init__":
+            continue
+        for name in getattr(importlib.import_module(f"gcstates.{module}"), "__all__", ()):
+            own = {inner for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+                   for inner in ast.walk(node)}
+            if name not in package and not any(
+                name in _loads(other, own if other is tree else ()) for other in SOURCES.values()
+            ):
+                unloaded.append(f"{module}.{name}")
+    assert unloaded == sorted(KEPT)

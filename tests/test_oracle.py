@@ -227,37 +227,49 @@ def test_expmass_walls_are_the_40_unit_points(alpha):
     assert y_40 == pytest.approx(brentq(v_minus_40, y_bottom, y_bottom + 80.0), abs=2e-12)
 
 
-@pytest.mark.parametrize("q, h", [(1e-9, "0.51"), (1e-6, "0.51")])
-def test_coarse_oscillator_grid_is_not_compared(q, h):
-    # the coarse grid of points = 100 has M = 24 nodes between the theta walls;
-    # at its centre they are h_theta/sqrt(2q) apart in zeta
-    spec = nonlinear(q)
-    prob = oracle.build_problem(spec, points=24)
-    assert prob.h == pytest.approx(2.0 * prob.hi / 25)
-    match = rf"q={q!r}, M=24: .*spacing h = {h} is above {oracle.ZETA_STEP_MAX}"
-    with pytest.raises(ValueError, match=match):
-        oracle.require_fine_grid(prob)
-    with pytest.raises(ValueError, match=match):
-        oracle.compare_spectrum(spec, k=2, points=100)
-
-
 @pytest.mark.parametrize("q", [1e-9, 1e-6, 1e-3])
 def test_small_q_is_compared_at_the_default_points(q):
-    # the walls where cos(theta)^lam = e^-20 keep the coarse zeta spacing
-    # near 0.2 as q -> 0, so the default triple compares these levels
+    # as q -> 0 the walls where cos(theta)^lam = e^-20 approach
+    # zeta = +-2 sqrt(10), and the default triple's levels converge at
+    # order 2, so the observed-order check passes them
     for c in oracle.compare_spectrum(nonlinear(q), k=4):
         assert c.rel_error <= c.error_bar
         assert c.rel_error < 2e-6
 
 
 @pytest.mark.parametrize(
-    "spec, points",
-    [(nonlinear(1e-5), 2000), (nonlinear(1e-3), 500), (nonlinear(0.1), 50), (HARMONIC, 3)],
+    "spec, coarse",
+    [(nonlinear(1e-5), 2000), (nonlinear(1e-3), 500), (nonlinear(0.1), 50), (HARMONIC, 63)],
     ids=["q=1e-5", "q=1e-3", "q=0.1", "harmonic"],
 )
-def test_fine_enough_grid_is_compared(spec, points):
-    # the bound applies to the singular oscillators only: harmonic at M = 3 has h > 1
-    oracle.require_fine_grid(oracle.build_problem(spec, points=points))
+def test_fine_enough_grid_is_compared(spec, coarse):
+    # a coarse grid of this size and its two refinements converge at order 2,
+    # so the observed-order check compares every level
+    for c in oracle.compare_spectrum(spec, k=4, points=4 * coarse + 3):
+        assert c.order >= oracle.ORDER_MIN
+        assert c.rel_error <= c.error_bar < oracle.LEVEL_TOL
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.3, 1.0])
+def test_every_small_grid_is_refused_or_right(q):
+    # the observed order and the estimate are the only test of a grid: on
+    # every coarse M = 3..30 a comparison either raises or gives levels
+    # within LEVEL_TOL and within their own error bar
+    spec = nonlinear(q)
+    compared = 0
+    for m in range(3, 31):
+        for k in (1, 2, 4):
+            if 4 * m + 3 < oracle.min_points(k):
+                continue
+            try:
+                comps = oracle.compare_spectrum(spec, k=k, points=4 * m + 3)
+            except ValueError:
+                continue
+            compared += 1
+            for c in comps:
+                assert c.rel_error < oracle.LEVEL_TOL, (m, k, c)
+                assert c.rel_error <= c.error_bar, (m, k, c)
+    assert compared > 0
 
 
 # ------------------------------------------------- error bars, observed order

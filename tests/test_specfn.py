@@ -46,7 +46,7 @@ POCH_B027_3 = 5.68547711536778566
 def real_0f1_log(b, x):
     """ln 0F1(; b; x), x >= 0: the window of the ladder with 2 + 1/q = b, else the kernel."""
     if b > 2.0:
-        return QuadraticLadder(1.0 / (b - 2.0), 1.0).norm_log(x / (b - 2.0))
+        return QuadraticLadder(1.0 / (b - 2.0), 1.0).closed(x / (b - 2.0))[0]
     return hyp0f1(b, complex(x, 0.0)).value.real
 
 
