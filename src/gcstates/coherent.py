@@ -13,9 +13,8 @@ exp(|zeta|^2) for the linear ladder (exp-mass: zeta = z/mu).
 The weight |c_n|^2 holds its mass in a band of width O(|zeta|) around the
 n where e_n reaches |zeta|^2, so a state lives on a window [n0, n0 + dim)
 there (n0 = 0 for shallow labels), stored as log magnitude plus unit phase
-because rho_n outruns double precision quickly.  Construction always
-evaluates N twice, once by direct series and once by closed form, and
-refuses to return a state if the two disagree.
+because rho_n outruns double precision quickly.  Construction evaluates
+ln N by two routes and refuses a state where they disagree (see construct).
 """
 
 from __future__ import annotations
@@ -84,7 +83,13 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
     bisection on the steps) through the first weight at or below eps^2 on
     each side, or down to n = 0.  Each edge coefficient is O(eps), so the
     annihilation residual is O(eps |zeta|) and the discarded mass is far
-    below eps.  Peaks past PEAK_INDEX_MAX are refused with ValueError.
+    below eps.  Peaks past PEAK_INDEX_MAX, and a |zeta|^2 past the double
+    range, are refused with ValueError.
+
+    ln N is checked against the ladder's closed form.  The quadratic ladder's
+    x/e_{n+1} = w/((b + n)(n + 1)), w = x/q, so both sum the same terms and
+    the check tests the window's anchor ln(x^n0/rho_n0), a step product,
+    against Stirling's ln t_lo; the linear ladder's, the sum against ln N = x.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
@@ -92,7 +97,13 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
     if not cmath.isfinite(z):
         raise ValueError(f"label must be finite, got {z}")
     zeta = z / spec.label_scale
-    x = abs(zeta) ** 2
+    try:
+        x = abs(zeta) ** 2
+    except OverflowError:
+        x = math.inf
+    if x == math.inf:  # also where zeta = z/mu itself overflows, for a tiny mu
+        raise ValueError(f"label z = {z} puts |zeta|^2 past the double range, and the "
+                         f"coherent-state peak past n = {PEAK_INDEX_MAX:g}")
     n0, log_coeff, log_norm, tail_bound = (
         _window(spec, x, eps) if x else (0, np.zeros(1), 0.0, 0.0))  # x = 0: the vacuum
     theta = cmath.phase(zeta)

@@ -6,11 +6,8 @@ class ConvergenceError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not certify the requested relative error.
-
-    Carries the best available estimate and its error bound so a caller can
-    decide whether the value is still usable.
-    """
+    """The moment check's grid sum could not certify its error; carries the sum
+    (estimate) and its error bound, for a caller to judge the value."""
 
     def __init__(self, message, estimate=None, error_bound=None):
         super().__init__(message)

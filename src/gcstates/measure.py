@@ -71,9 +71,11 @@ class MomentReport:
     passed: bool
 
 
-#: relative moment error allowed for n >= 1, and for the n = 0 normalization
+#: relative moment error allowed for n >= 1, and for the n = 0 normalization;
+#: relative error bound the grid sum must certify before either is applied
 MOMENT_TOL = 1e-6
 MOMENT0_TOL = 1e-8
+CERTIFY_TOL = 1e-10
 
 
 #: the moment grid: 1025 nodes in u = ln xi from ln 1e-30 to ln 1e12
@@ -81,11 +83,7 @@ _U = np.linspace(math.log(1e-30), math.log(1e12), 1025)
 _H = (_U[-1] - _U[0]) / 1024
 
 
-def verify_moments(
-    spec: ModelSpec,
-    n_max: int = 8,
-    rel_tol: float = 1e-10,
-) -> list[MomentReport]:
+def verify_moments(spec: ModelSpec, n_max: int = 8) -> list[MomentReport]:
     """Check int w~(xi) xi^n dxi = rho_n for n = 0..n_max.
 
     In u = ln xi the integrand w~(e^u) e^{(n+1)u} is smooth and decays at
@@ -93,16 +91,16 @@ def verify_moments(
     geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The
     error bound is the change from the sum on every other node, plus the
     integrand at both end nodes (past them it falls at least as e^{-|u|}),
-    plus a rounding unit; QuadratureError when it exceeds rel_tol times the
-    sum (exp-mass with mu = 1e-12, say).  n_max is capped at 12.  A moment
-    passes below MOMENT_TOL relative error; the n = 0 moment, the measure
-    normalization, below the tighter MOMENT0_TOL.
+    plus a rounding unit; QuadratureError when it exceeds CERTIFY_TOL times
+    the sum (exp-mass with mu = 1e-12, say).  n_max is capped at 12.  A
+    moment passes below MOMENT_TOL relative error; the n = 0 moment, the
+    measure normalization, below the tighter MOMENT0_TOL.
 
     At large q the weight's mass moves past the grid's end, xi = 1e12.  On
     20 q per decade the sum certifies up to q = 8.9e8 at n_max = 8 (refused
     from 1e9), 6.3e8 at n_max = 12 (from 7.1e8) and 4.0e9 at n_max = 0
-    (from 4.5e9).  A rho_n past the double range (q = 1e160 at n = 2, say)
-    is refused with ValueError before the sum.
+    (from 4.5e9).  ValueError refuses, before the sum, a rho_n past the double
+    range (q = 1e160 at n = 2) and xi/q = 0 at the first node (from q ~ 4e293).
     """
     if n_max != int(n_max) or not 0 <= n_max <= 12:
         raise ValueError(f"n_max must be an integer in 0..12, got {n_max}")
@@ -123,8 +121,8 @@ def verify_moments(
         bound = abs(full - half) + ends + np.finfo(float).eps * full
     reports = []
     for k, value, err, rho in zip(n.tolist(), full.tolist(), bound.tolist(), analytic):
-        if not (value > 0 and err <= rel_tol * value):
-            msg = f"moment {k}: grid sum certified to {err:.3g}, not {rel_tol:.3g} relative"
+        if not (value > 0 and err <= CERTIFY_TOL * value):
+            msg = f"moment {k}: grid sum certified to {err:.3g}, not {CERTIFY_TOL:.3g} relative"
             raise QuadratureError(msg, estimate=value, error_bound=err)
         rel = abs(value - rho) / rho
         cut = MOMENT0_TOL if k == 0 else MOMENT_TOL

@@ -146,10 +146,13 @@ class QuadraticLadder:
 
     def weight_log(self, xi):
         """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
-        top = float(np.max(xi))
+        top, bottom = float(np.max(xi)), float(np.min(xi))
         if math.isfinite(top) and top / self.q == math.inf:
             raise ValueError(f"the weight at q = {self.q:g} overflows xi/q at xi = {top:g}; "
                              f"q must be at least {top / sys.float_info.max:.2g} there")
+        if bottom > 0 and bottom / self.q == 0.0:
+            raise ValueError(f"the weight at q = {self.q:g} underflows xi/q at xi = {bottom:g}; "
+                             f"q must be at most {bottom / math.ulp(0.0):.2g} there")
         return bessel_density_log(1.0 + 1.0 / self.q, xi / self.q) - math.log(self.q)
 
 

@@ -17,14 +17,8 @@ Magnitudes are wild (generalized factorials grow faster than n!), so the
 kernels work in log space: ``pochhammer_log`` and the two Bessel routines
 return logarithms, and ``hyp0f1`` returns the complex ln 0F1.
 
-``integrate_halfline``, adaptive quadrature over (0, inf), is kept as the
-independent reference the moment check's grid sum is tested against.
-
 scipy is imported inside the routines that call it, so ``import gcstates``
-loads none of it.  ``quad`` is a module-level function that imports
-``scipy.integrate.quad`` on its first call; it stays a ``specfn`` attribute
-so that a caller can replace it (a tracer counting quad's integrand
-evaluations, say), and ``integrate_halfline`` looks it up by that name.
+loads none of it.
 """
 
 from __future__ import annotations
@@ -33,11 +27,10 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .exceptions import ConvergenceError, QuadratureError
+from .exceptions import ConvergenceError
 
 __all__ = [
     "SeriesResult",
@@ -47,7 +40,6 @@ __all__ = [
     "hyp0f1",
     "bessel_k",
     "bessel_density_log",
-    "integrate_halfline",
 ]
 
 
@@ -259,70 +251,9 @@ def _debye_table():
     return table
 
 
+# kept because the benchmark tracer (perfbench) replaces it by name; goes with its next change
 def quad(*args, **kwargs):
     """scipy.integrate.quad, imported on the first call."""
     from scipy.integrate import quad
 
     return quad(*args, **kwargs)
-
-
-def integrate_halfline(
-    f: Callable[[float], float],
-    rel_tol: float = 1e-10,
-    full_output: bool = False,
-):
-    """Integrate f over (0, inf) for integrands decaying faster than any power.
-
-    Strategy: locate the peak of |f| on a geometric scan, find the abscissa
-    where |f| has dropped 18 decades below the peak, integrate the two finite
-    pieces directly, and map the remaining tail through xi = cut * e^u.
-
-    Returns the value, or (value, error_bound) when full_output is set.
-    Raises QuadratureError (carrying the best estimate and its bound) when
-    the requested relative tolerance cannot be certified.
-    """
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-
-    grid = np.geomspace(1e-8, 1e8, 321)
-    vals = np.abs([f(x) for x in grid])
-    # extend the scan if the integrand has not decayed by the right edge
-    while True:
-        fmax = vals.max()
-        if fmax == 0.0:
-            return (0.0, 0.0) if full_output else 0.0
-        tail_ok = vals[-1] < 1e-18 * fmax
-        if tail_ok or grid[-1] >= 1e12:
-            break
-        ext = np.geomspace(grid[-1] * 10**0.05, grid[-1] * 10.0, 20)
-        grid = np.concatenate([grid, ext])
-        vals = np.concatenate([vals, np.abs([f(x) for x in ext])])
-    i_peak = int(vals.argmax())
-    x_peak = float(grid[i_peak])
-    above = np.nonzero(vals[i_peak:] >= 1e-18 * fmax)[0]
-    x_cut = float(grid[i_peak + above[-1]]) if above.size else x_peak
-    if x_cut <= x_peak:
-        x_cut = 10.0 * x_peak
-
-    eps = rel_tol / 10.0
-    v1, e1 = quad(f, 0.0, x_peak, epsabs=0.0, epsrel=eps, limit=200)
-    v2, e2 = quad(f, x_peak, x_cut, epsabs=0.0, epsrel=eps, limit=200)
-    # exponential tail map: int_cut^inf f = int_0^40 f(cut e^u) cut e^u du
-    v3, e3 = quad(
-        lambda u: f(x_cut * math.exp(u)) * x_cut * math.exp(u),
-        0.0,
-        40.0,
-        epsabs=abs(v1 + v2) * eps + 1e-300,
-        epsrel=eps,
-        limit=200,
-    )
-    value = v1 + v2 + v3
-    bound = e1 + e2 + e3
-    if bound > rel_tol * abs(value):
-        raise QuadratureError(
-            f"half-line quadrature certified only {bound:.3g} absolute "
-            f"against a target of {rel_tol:.3g} relative",
-            estimate=value,
-            error_bound=bound,
-        )
-    return (value, bound) if full_output else value

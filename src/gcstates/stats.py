@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CoherentState
+from .coherent import PEAK_INDEX_MAX, CoherentState
 from .exceptions import ConvergenceError
 from .models import ModelSpec
 
@@ -111,9 +111,14 @@ def summary_closed(state: CoherentState) -> StatsSummary:
 
 def mandel_q_closed(spec: ModelSpec, abs_z: float) -> float:
     """Closed-form Mandel Q at label magnitude |z| without building a state."""
-    if abs_z < 0:
-        raise ValueError(f"abs_z must be nonnegative, got {abs_z}")
-    return _mandel_q(*spec.ladder.mean_var(abs_z**2 / spec.label_scale**2))
+    try:
+        x = abs_z**2 / spec.label_scale**2
+    except OverflowError:
+        x = math.inf
+    if not (abs_z >= 0 and x < math.inf):
+        raise ValueError(f"label |z| = {abs_z} must be nonnegative, and a |zeta|^2 past the "
+                         f"double range puts the coherent-state peak past n = {PEAK_INDEX_MAX:g}")
+    return _mandel_q(*spec.ladder.mean_var(x))
 
 
 #: Newton steps match_mean_abs_z takes before it gives up

@@ -458,6 +458,11 @@ def test_out_writes_file(tmp_path, capsys):
         # rho_2 = 2 q^2 (2 + 1/q)(3 + 1/q) overflows a double
         ["moments", "--lambda-prime", "1e300", "--nmax", "2"],
         ["moments", "--lambda-prime", "1e160"],
+        # |zeta|^2 overflows a double: |z|^2 at 1e200, and zeta = z/mu itself at mu = 1e-150
+        ["coherent", "--z", "1e200"],
+        ["stats", "--model", "exp-mass", "--mu", "1e-150", "--z", "1e160"],
+        # xi/q underflows to 0 at the moment grid's first node above q ~ 2e293
+        ["moments", "--lambda-prime", "1e300", "--nmax", "0"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):
@@ -473,6 +478,23 @@ def test_huge_q_refusal_names_q_and_the_first_overflowing_rho(capsys):
     assert capsys.readouterr().err == (
         "error: nonlinear-osc at q = 1e+160: rho_2 overflows a double; "
         "no moment n >= 2 can be checked\n")
+
+
+def test_huge_q_refusal_names_q_and_the_moment_grid(capsys):
+    assert cli.main(["moments", "--lambda-prime", "1e300", "--nmax", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the weight at q = 1e+300 underflows xi/q at xi = 1e-30; "
+        "q must be at most 2e+293 there\n")
+
+
+@pytest.mark.parametrize("args", [["coherent", "--z", "1e200"], ["stats", "--z", "1e155"],
+                                  ["coherent", "--z", "1e100+1e200i"]])
+def test_overflowing_label_refusal_names_the_label_and_the_peak_limit(args, capsys):
+    assert cli.main(args) == 2
+    label = complex(args[-1].replace("i", "j"))
+    assert capsys.readouterr().err == (
+        f"error: label z = {label} puts |zeta|^2 past the double range, and the "
+        f"coherent-state peak past n = 1e+08\n")
 
 
 @pytest.mark.parametrize("q", ["1e-9", "1e-6"])
@@ -657,7 +679,6 @@ def test_coherent_csv_gives_absolute_indices(capsys):
 
 
 NUMERICAL_FAILURES = [
-    (["coherent", "--z", "1e200"], "OverflowError"),
     # the weight's mass lies past the moment grid's end, xi = 1e12
     (["moments", "--lambda-prime", "1e10", "--nmax", "2"], "QuadratureError"),
     # the weight's scale mu^2 = 1e-24 is too close to the moment grid's edge

@@ -94,7 +94,8 @@ def test_scipy_is_imported_only_inside_functions():
     ] == []
 
 
-# run in a fresh interpreter; prints the scipy modules loaded after each stage
+# run in a fresh interpreter on the commands in argv[1]; prints the scipy
+# modules loaded after each stage
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 import gcstates, gcstates.cli
@@ -102,25 +103,48 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 stages = {"import": scipy_modules(),
           "polynomial": sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))}
-for args in (["coherent", "--z", "1+1i"], ["stats", "--z", "1.5"], ["fig1", "--zsq", "2"],
-             ["spectrum"], ["moments", "--model", "exp-mass"], ["verify"]):
+for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        stages[args[0]] = [gcstates.cli.main(args), scipy_modules()]
+        stages[" ".join(args)] = [gcstates.cli.main(args), scipy_modules()]
 print(json.dumps(stages))
 """
 
 
-def test_only_verify_loads_scipy_and_never_optimize_or_integrate():
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True)
+def _probe(*commands):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
     assert stages.pop("import") == []
     assert stages.pop("polynomial") == []  # import builds no Debye table
+    return stages
+
+
+def _subpackages(loaded):
+    """The public scipy subpackages that modules were loaded from."""
+    return {".".join(m.split(".")[:2]) for m in loaded
+            if m.count(".") >= 2 and not m.split(".")[1].startswith("_")}
+
+
+def test_only_verify_loads_scipy_and_never_optimize_or_integrate():
+    stages = _probe(["coherent", "--z", "1+1i"], ["stats", "--z", "1.5"],
+                    ["stats", "--z-sweep", "0", "2", "0.5"], ["fig1", "--zsq", "2"],
+                    ["spectrum"], ["moments", "--model", "exp-mass"], ["verify"])
     verify_code, verify_loaded = stages.pop("verify")
-    assert stages == {cmd: [0, []] for cmd in ("coherent", "stats", "fig1", "spectrum", "moments")}
+    assert set(stages) == {"coherent --z 1+1i", "stats --z 1.5", "stats --z-sweep 0 2 0.5",
+                           "fig1 --zsq 2", "spectrum", "moments --model exp-mass"}
+    assert list(stages.values()) == [[0, []]] * len(stages)
     assert verify_code == 0
     assert {"scipy.special", "scipy.linalg"} <= set(verify_loaded)
     assert not {"scipy.optimize", "scipy.integrate"} & set(verify_loaded)
+
+
+def test_oracle_loads_only_linalg():
+    # the oracle's one scipy routine is LAPACK's bisection; no quadrature or optimizer
+    stages = _probe(["oracle"], ["oracle", "--model", "exp-mass", "--alpha", "2"])
+    assert [code for code, _ in stages.values()] == [0, 0]
+    for _, loaded in stages.values():
+        assert _subpackages(loaded) == {"scipy.linalg"}
 
 
 def _references(tree):
@@ -168,7 +192,6 @@ def test_every_private_constant_is_referenced():
 KEPT = {
     "cli.VERIFY_REPORT_SCHEMA": "the benchmark harness validates verify reports against it",
     "fockrep.build": "the benchmark's verify warm-up builds the ladder matrices with it",
-    "specfn.integrate_halfline": "the tests' adaptive-quadrature reference for the moment sum",
     "stats.mandel_q_closed": "the acceptance test of the paper's sub-Poissonian claim",
 }
 

@@ -1,4 +1,4 @@
-"""Special-function layer: 0F1 and its terms, the K_nu routes, half-line quadrature.
+"""Special-function layer: 0F1 and its terms, the K_nu routes.
 
 A real 0F1 is the quadratic ladder's window sum where b > 2, and the complex
 kernel at complex(x, 0) below.
@@ -13,7 +13,7 @@ import pytest
 import scipy.special as sp
 
 from gcstates import measure
-from gcstates.exceptions import ConvergenceError, QuadratureError
+from gcstates.exceptions import ConvergenceError
 from gcstates.models import QuadraticLadder
 from gcstates.specfn import (
     DEBYE_NU_MIN,
@@ -23,7 +23,6 @@ from gcstates.specfn import (
     hyp0f1,
     hyp0f1_term_log,
     hyp0f1_terms,
-    integrate_halfline,
     pochhammer_log,
 )
 
@@ -428,38 +427,3 @@ def test_bessel_k_array_matches_scalar_calls(nu):
     assert isinstance(got, np.ndarray) and got.shape == x.shape
     assert got.tolist() == [bessel_k(nu, float(v)) for v in x]
     assert isinstance(bessel_k(nu, 1.0), float)
-
-
-@pytest.mark.parametrize(
-    "f,expected",
-    [
-        (lambda t: math.exp(-t), 1.0),
-        (lambda t: t**4 * math.exp(-t), 24.0),
-        (lambda t: math.sqrt(t) * math.exp(-t), math.gamma(1.5)),
-        (lambda t: t**3 * math.exp(-t / 1000.0), 6.0 * 1000.0**4),
-        (lambda t: math.exp(-((t - 50.0) ** 2)), math.sqrt(math.pi)),
-    ],
-)
-def test_integrate_halfline(f, expected):
-    assert integrate_halfline(f) == pytest.approx(expected, rel=1e-9)
-
-
-def test_integrate_halfline_full_output():
-    val, err = integrate_halfline(lambda t: math.exp(-t), full_output=True)
-    assert val == pytest.approx(1.0, rel=1e-10)
-    assert 0 <= err < 1e-9
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.filterwarnings("ignore:The integral is probably divergent")
-def test_integrate_halfline_rejects_slow_decay():
-    # a fat power tail cannot be certified by the truncation strategy
-    with pytest.raises(QuadratureError):
-        integrate_halfline(lambda t: 1.0 / (1.0 + t) ** 1.5)
-
-
-def test_integrate_halfline_gamma_family():
-    # moments of e^{-t}: Gamma(n+1), through n=12 in one sweep
-    for n in range(13):
-        got = integrate_halfline(lambda t, _n=n: t**_n * math.exp(-t))
-        assert got == pytest.approx(math.gamma(n + 1), rel=1e-8)

@@ -96,6 +96,16 @@ def test_q_frozen_ladder():
         )
 
 
+@pytest.mark.parametrize("spec,abs_z", [(nonlinear(0.1), 1e200), (nonlinear(0.1), -1.0),
+                                         (nonlinear(0.1), math.nan), (expmass(1e-150), 1e160),
+                                         (expmass(1.0), math.inf)],
+                         ids=["square-overflows", "negative", "nan", "zeta-inf", "inf"])
+def test_mandel_q_closed_refuses_a_label_past_the_double_range(spec, abs_z):
+    # the linear ladder's Q = x/x - 1 would be NaN at x = inf, not a refusal
+    with pytest.raises(ValueError, match=r"must be nonnegative, and a \|zeta\|\^2 past"):
+        stats.mandel_q_closed(spec, abs_z)
+
+
 def test_distribution_sums_to_one():
     for spec in (nonlinear(0.27), expmass(2.0)):
         st = coherent.construct(spec, 2.2)
