@@ -83,8 +83,8 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
     bisection on the steps) through the first weight at or below eps^2 on
     each side, or down to n = 0.  Each edge coefficient is O(eps), so the
     annihilation residual is O(eps |zeta|) and the discarded mass is far
-    below eps.  Peaks past PEAK_INDEX_MAX, and a |zeta|^2 past the double
-    range, are refused with ValueError.
+    below eps.  Peaks past PEAK_INDEX_MAX, a |zeta|^2 past the double range,
+    and a window that reaches a step past it, are refused with ValueError.
 
     ln N is checked against the ladder's closed form.  The quadratic ladder's
     x/e_{n+1} = w/((b + n)(n + 1)), w = x/q, so both sum the same terms and
@@ -158,6 +158,8 @@ def _window(spec: ModelSpec, x: float, eps: float):
     half = int(math.sqrt(-2.0 * edge) * (math.sqrt(x / (step(mode + 1) - step(mode))) + 2)) + 1
     while True:
         lo, hi = max(mode - half, 0), mode + half + 1
+        if step(hi - 1) == math.inf:  # the window's top step overflows a double
+            models.rho_log(spec, hi - 1)  # raises ValueError naming the first that does
         d, k = ln_ratio(lo + 1, hi), mode - lo
         # t_n - t_mode over [lo, hi), summed outward from the mode
         t = np.zeros(hi - lo)

@@ -22,9 +22,9 @@ Ladder families
 
 Each family owns its closed forms (steps, energies, remainders, ln rho_n,
 ln N at |zeta|^2 and at the overlap's complex conj(zeta_a) zeta_b, the
-number mean and variance and the measure weight); ``ModelSpec.ladder`` resolves a
-spec's family once.  Model-level sequences, with ``unit`` the model's
-natural energy quantum:
+number mean and variance and the measure weight in its first moment's scale);
+``ModelSpec.ladder`` resolves a spec's family once.  Model-level sequences,
+with ``unit`` the model's natural energy quantum:
 
 * ``energy(spec, n)``    absolute eigenvalue E_n,
 * ``remainder(spec, k)`` shape-invariance increment E_k - E_{k-1}, k >= 1,
@@ -85,7 +85,6 @@ __all__ = [
     "remainder",
     "step",
     "rho_log",
-    "rho_log_label",
 ]
 
 MODEL_IDS = ("nonlinear-osc", "bounded-osc", "exp-mass")
@@ -96,7 +95,7 @@ class QuadraticLadder:
 
     Closed forms take n as an int (step, energy and remainder also as an
     index array), x = |zeta|^2 in step units (ln N, <n> and var n from one
-    window of 0F1 terms), xi = |z|^2 > 0, and kernel_log w = conj(zeta_a) zeta_b.
+    window of 0F1 terms), t = xi/S > 0 (see measure) and kernel_log w = conj(zeta_a) zeta_b.
     """
 
     q: float
@@ -144,16 +143,18 @@ class QuadraticLadder:
         d = n - mean
         return int(n[0]), total, mean, float((d * d) @ p) / total
 
-    def weight_log(self, xi):
-        """ln w~(xi) = ln[2 (xi/q)^{nu/2} K_nu(2 sqrt(xi/q)) / (q Gamma(b))]."""
-        top, bottom = float(np.max(xi)), float(np.min(xi))
-        if math.isfinite(top) and top / self.q == math.inf:
-            raise ValueError(f"the weight at q = {self.q:g} overflows xi/q at xi = {top:g}; "
+    @property
+    def moment_scale(self) -> float:
+        """The weight's first moment rho_1 = 1 + 2q, from q, never from the steps."""
+        return 1.0 + 2.0 * self.q
+
+    def scaled_weight_log(self, t):
+        """ln[S w~(S t)] = ln b + bessel_density_log(nu, b t), S = 1 + 2q = q b, nu = 1 + 1/q."""
+        top, b = float(np.max(t)), self.b
+        if math.isfinite(top) and top * b == math.inf:
+            raise ValueError(f"the weight at q = {self.q:g} overflows t (2 + 1/q) at t = {top:g}; "
                              f"q must be at least {top / sys.float_info.max:.2g} there")
-        if bottom > 0 and bottom / self.q == 0.0:
-            raise ValueError(f"the weight at q = {self.q:g} underflows xi/q at xi = {bottom:g}; "
-                             f"q must be at most {bottom / math.ulp(0.0):.2g} there")
-        return bessel_density_log(1.0 + 1.0 / self.q, xi / self.q) - math.log(self.q)
+        return bessel_density_log(1.0 + 1.0 / self.q, t * b) + math.log(b)
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,7 @@ class LinearLadder:
     scale: float
     unit: float
     ground: float
+    moment_scale = 1.0
 
     def step(self, n):
         return n * 1.0
@@ -190,9 +192,8 @@ class LinearLadder:
     def closed(self, x: float) -> tuple[float, float, float]:
         return x, x, x
 
-    def weight_log(self, xi):
-        scale_sq = self.scale**2
-        return -math.log(scale_sq) - xi / scale_sq
+    def scaled_weight_log(self, t):
+        return -t
 
 
 # The ladder each model id closes; a new solvable model is one entry here.
@@ -335,32 +336,25 @@ def rho_log(spec: ModelSpec, n: int) -> float:
 
     Computed as the telescoping sum of ln e_k and cross-checked against the
     closed Gamma/Pochhammer form on every call; disagreement raises
-    ConsistencyError.
+    ConsistencyError, and a step past the double range ValueError naming it.
     """
     n = _check_n(n)
     if n == 0:
         return 0.0
-    product = math.fsum(map(math.log, step(spec, np.arange(1, n + 1)).tolist()))
+    with np.errstate(over="ignore"):  # an infinite step is refused below
+        steps = step(spec, np.arange(1, n + 1))
+    product = math.fsum(map(math.log, steps.tolist()))
     # closed Gamma form of the step product; bias enters as n ln(1 + bias)
     closed = spec.ladder.rho_log(n)
     if spec.step_bias:
         closed += n * math.log1p(spec.step_bias)
-    if abs(product - closed) > RHO_TOL + 1e-12 * abs(product):
+    if not abs(product - closed) <= RHO_TOL + 1e-12 * abs(closed):  # an inf gap fails too
+        if product == math.inf:  # a step overflowed: name the first
+            k = int(np.argmax(steps == math.inf)) + 1
+            raise ValueError(f"{spec.id} at q = {spec.nonlinearity}: the ladder step e_{k} "
+                             f"overflows a double, and rho_n with it from n = {k}")
         raise ConsistencyError(
             f"rho_log({spec.id}, {n}): product form {product!r} vs closed "
             f"form {closed!r}"
         )
     return product
-
-
-def rho_log_label(spec: ModelSpec, n: int) -> float:
-    """ln rho_n in physical-label units: rho_n * label_scale^(2n).
-
-    This is the moment sequence of the resolution-of-unity measure on the
-    physical label plane (n! mu^{2n} for exp-mass).
-    """
-    out = rho_log(spec, _check_n(n))
-    scale = spec.label_scale
-    if scale != 1.0:
-        out += 2.0 * n * math.log(scale)
-    return out

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gcstates import cli, coherent, models, oracle
+from gcstates import cli, coherent, measure, models, oracle
 from gcstates.exceptions import QuadratureError
 
 
@@ -73,7 +73,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # stats_deep_osc (n0 = 43 and 81) and stats_deep_exp (n0 = 3106 and 2376)
 # were captured before the per-label path stopped building throwaway arrays,
 # the first goldens whose windows start past n = 0, so they pin the left
-# cumulative sum and the anchor ln(x^n0 / rho_n0)
+# cumulative sum and the anchor ln(x^n0 / rho_n0); verify_corrupt_moments,
+# verify_all and verify_corrupt_all were re-captured when the moment sum
+# moved into the weight's own scale t = xi/S (only the oscillators' moment
+# values and max_rel_error moved, each by under 3e-15)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -453,16 +456,16 @@ def test_out_writes_file(tmp_path, capsys):
         # and at q = 0.9 the grid triple converges at observed order 1.24
         ["oracle", "--lambda-prime", "2"],
         ["oracle", "--lambda-prime", "0.9"],
-        # xi/q overflows on the moment grid below q ~ 5.6e-297
+        # t (2 + 1/q) overflows on the moment grid below q ~ 5.6e-297
         ["moments", "--lambda-prime", "1e-300", "--nmax", "2"],
-        # rho_2 = 2 q^2 (2 + 1/q)(3 + 1/q) overflows a double
-        ["moments", "--lambda-prime", "1e300", "--nmax", "2"],
-        ["moments", "--lambda-prime", "1e160"],
+        # the ladder step e_1 = 1 + 2q overflows a double, in ln rho_n and in the window
+        ["spectrum", "--lambda-prime", "1e308", "--nmax", "3"],
+        ["coherent", "--lambda-prime", "1e308", "--z", "1"],
         # |zeta|^2 overflows a double: |z|^2 at 1e200, and zeta = z/mu itself at mu = 1e-150
         ["coherent", "--z", "1e200"],
         ["stats", "--model", "exp-mass", "--mu", "1e-150", "--z", "1e160"],
-        # xi/q underflows to 0 at the moment grid's first node above q ~ 2e293
-        ["moments", "--lambda-prime", "1e300", "--nmax", "0"],
+        # e_4 = 4 (1 + 5q) overflows a double, so rho_4 does
+        ["moments", "--lambda-prime", "1e307"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):
@@ -474,17 +477,26 @@ def test_bad_parameters_exit_two(args, capsys):
 
 
 def test_huge_q_refusal_names_q_and_the_first_overflowing_rho(capsys):
-    assert cli.main(["moments", "--lambda-prime", "1e160"]) == 2
+    assert cli.main(["moments", "--lambda-prime", "1e307"]) == 2
     assert capsys.readouterr().err == (
-        "error: nonlinear-osc at q = 1e+160: rho_2 overflows a double; "
-        "no moment n >= 2 can be checked\n")
+        "error: nonlinear-osc at q = 1e+307: the ladder step e_4 overflows a double, "
+        "and rho_n with it from n = 4\n")
 
 
-def test_huge_q_refusal_names_q_and_the_moment_grid(capsys):
-    assert cli.main(["moments", "--lambda-prime", "1e300", "--nmax", "0"]) == 2
-    assert capsys.readouterr().err == (
-        "error: the weight at q = 1e+300 underflows xi/q at xi = 1e-30; "
-        "q must be at most 2e+293 there\n")
+@pytest.mark.parametrize("args", [
+    ["--lambda-prime", "1e10", "--nmax", "2"],
+    ["--lambda-prime", "1e160"],
+    ["--lambda-prime", "1e300", "--nmax", "0"],
+    ["--model", "exp-mass", "--mu", "1e-12"],
+], ids=["q1e10", "q1e160", "q1e300", "mu1e-12"])
+def test_moments_answer_far_from_the_grid_in_xi(args, capsys):
+    # the weight's mass sits far past xi = 1e12 or near xi = 1e-30, but the
+    # sum runs in t = xi/S, where it sits at t ~ 1 for every q and mu
+    code, out = run(["moments", *args], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(len(rows)))
+    assert all(float(r[3]) < 1e-6 for r in rows)
 
 
 @pytest.mark.parametrize("args", [["coherent", "--z", "1e200"], ["stats", "--z", "1e155"],
@@ -514,7 +526,7 @@ def test_small_q_coarse_oracle_levels_are_within_their_bars(q, capsys):
 def test_tiny_q_refusal_names_q_and_the_moment_grid(capsys):
     assert cli.main(["moments", "--lambda-prime", "1e-300", "--nmax", "2"]) == 2
     assert capsys.readouterr().err == (
-        "error: the weight at q = 1e-300 overflows xi/q at xi = 1e+12; "
+        "error: the weight at q = 1e-300 overflows t (2 + 1/q) at t = 1e+12; "
         "q must be at least 5.6e-297 there\n")
 
 
@@ -678,22 +690,14 @@ def test_coherent_csv_gives_absolute_indices(capsys):
     assert json.loads(out)["n0"] == state.n0
 
 
-NUMERICAL_FAILURES = [
-    # the weight's mass lies past the moment grid's end, xi = 1e12
-    (["moments", "--lambda-prime", "1e10", "--nmax", "2"], "QuadratureError"),
-    # the weight's scale mu^2 = 1e-24 is too close to the moment grid's edge
-    (["moments", "--model", "exp-mass", "--mu", "1e-12"], "QuadratureError"),
-]
-
-
-def test_numerical_error_exits_three(capsys):
-    for args, error in NUMERICAL_FAILURES:
-        code = cli.main(args)
-        captured = capsys.readouterr()
-        assert code == 3, args
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {error}: ")
-        assert captured.err.count("\n") == 1
+def test_numerical_error_exits_three(monkeypatch, capsys):
+    # no grid sum certifies a relative error below round-off
+    monkeypatch.setattr(measure, "CERTIFY_TOL", 1e-20)
+    assert cli.main(["moments"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: QuadratureError: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_model_exits_two_via_argparse():

@@ -1,6 +1,7 @@
 """Resolution-of-unity weight: positivity, moments, growth classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,8 +71,9 @@ def test_moments_reproduce_factorials(spec):
         assert rep.passed, f"moment {rep.n}: rel {rep.rel_error:.3e}"
         limit = 1e-8 if rep.n == 0 else 1e-6
         assert rep.rel_error < limit
+        # rho_n in label units: rho_n * label_scale^(2n) (n! mu^{2n} for exp-mass)
         assert rep.analytic_rho == pytest.approx(
-            math.exp(models.rho_log_label(spec, rep.n)), rel=1e-14
+            math.exp(models.rho_log(spec, rep.n)) * spec.label_scale ** (2 * rep.n), rel=1e-14
         )
 
 
@@ -79,18 +81,37 @@ def test_moments_reproduce_factorials(spec):
     "model,param",
     [("nonlinear-osc", q) for q in (1e-10, 1e-6, 1e-5, 3e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.02,
                                      0.5, 2.0, 5.0)]
-    + [("bounded-osc", 0.02), ("exp-mass", 1e-6), ("exp-mass", 1e4)],
+    + [("bounded-osc", 0.02), ("exp-mass", 1e-6), ("exp-mass", 1e4),
+       ("nonlinear-osc", 1e300), ("exp-mass", 1e-150)],
 )
 def test_moments_across_the_q_range(model, param):
-    # nu = 1 + 1/q runs from 1.2 to 1e10: below q = 1/11 (nu = 12) the
-    # weight comes from Debye's expansion, whose parts stay O(1), and above
-    # it from kve.  For exp-mass the parameter is mu, which moves the
-    # weight's scale across eight decades of the fixed grid.
+    # the report's label-unit fields against rho_n summed exactly in rationals:
+    # nu = 1 + 1/q runs from 1.2 to 1e10, so below q = 1/11 (nu = 12) the
+    # weight comes from Debye's expansion and above it from kve; for exp-mass
+    # the parameter is mu, which moves the label-unit scale across 20 decades.
+    # Past the double range a label-unit value reads inf (q = 1e300) or 0
+    # (mu = 1e-150); the pass verdict comes from the sum in the weight's scale
     key = "mu" if model == "exp-mass" else "nonlinearity"
-    reports = measure.verify_moments(models.make_model(model, **{key: param}), n_max=8)
+    spec = models.make_model(model, **{key: param})
+    reports = measure.verify_moments(spec, n_max=8)
     assert [r.n for r in reports] == list(range(9))
     for rep in reports:
         assert rep.passed, f"moment {rep.n}: rel {rep.rel_error:.3e}"
+        exact = _exact_rho_label(spec, rep.n)
+        assert rep.analytic_rho == pytest.approx(exact, rel=1e-12)
+        assert rep.quadrature == pytest.approx(exact, rel=1e-12)
+        assert rep.quad_error_estimate <= 1e-10 * rep.quadrature
+
+
+def _exact_rho_label(spec, n):
+    """rho_n label_scale^(2n) as a double (inf past the range), from exact rationals."""
+    rho = Fraction(1)
+    for k in range(1, n + 1):
+        rho *= Fraction(models.step(spec, k)) * Fraction(spec.label_scale) ** 2
+    try:
+        return float(rho)
+    except OverflowError:
+        return math.inf
 
 
 @pytest.mark.parametrize("spec", [nonlinear(0.1), nonlinear(2.0), expmass(1.0), nonlinear(0.01)],
@@ -119,12 +140,14 @@ def test_grid_sum_refuses_a_tolerance_below_round_off(monkeypatch):
         measure.verify_moments(nonlinear(0.1), n_max=8)
 
 
-def test_grid_sum_refuses_a_weight_off_the_grid():
-    # at mu = 1e-12 the weight's scale mu^2 = 1e-24 is only six decades
-    # above the grid's first node xi = 1e-30, where the integrand in
-    # u = ln xi, xi w~ ~ xi/mu^2, is still 1e-6 of the sum
+def test_grid_sum_refuses_a_weight_off_the_grid(monkeypatch):
+    # a family whose scaled weight had its mass at t ~ 1e-24, not t ~ 1: only
+    # six decades above the grid's first node t = 1e-30, where the integrand
+    # in u = ln t, t w ~ 1e24 t, is still 1e-6 of the sum
+    monkeypatch.setattr(models.LinearLadder, "scaled_weight_log",
+                        lambda self, t: math.log(1e24) - 1e24 * t)
     with pytest.raises(QuadratureError) as exc:
-        measure.verify_moments(expmass(1e-12), n_max=2)
+        measure.verify_moments(expmass(1.0), n_max=2)
     assert exc.value.error_bound > 1e-10 * exc.value.estimate
 
 

@@ -230,18 +230,14 @@ def test_rho_gamma_form_vs_step_product(q):
         assert abs(closed - acc) < 1e-9
 
 
-def test_rho_label_units_expmass():
-    # physical-label factorial for the exponential profile is n! mu^{2n}
-    spec = expmass(mu=2.0)
-    for n in range(6):
-        expected = math.lgamma(n + 1) + 2.0 * n * math.log(2.0)
-        assert models.rho_log_label(spec, n) == pytest.approx(expected, rel=1e-13, abs=1e-13)
-
-
-def test_rho_label_units_equal_natural_when_scale_one():
-    spec = nonlinear(0.27)
-    for n in (0, 3, 40):
-        assert models.rho_log_label(spec, n) == models.rho_log(spec, n)
+def test_rho_log_refuses_an_overflowing_step():
+    # e_n = n (1 + q (n + 1)) passes the double range at n = 4 for q = 1e307,
+    # where the product form of ln rho_n would be inf
+    spec = nonlinear(1e307)
+    assert math.isfinite(models.rho_log(spec, 3))
+    for n in (4, 12):
+        with pytest.raises(ValueError, match=r"q = 1e\+307: the ladder step e_4 overflows"):
+            models.rho_log(spec, n)
 
 
 # ------------------------------------------------------------ fault field
@@ -293,7 +289,7 @@ def test_step_rejects_bad_index_arrays():
 
 def test_negative_n_rejected():
     spec = nonlinear(0.1)
-    for fn in (models.energy, models.rho_log, models.rho_log_label):
+    for fn in (models.energy, models.rho_log):
         with pytest.raises(ValueError):
             fn(spec, -1)
     with pytest.raises(ValueError):

@@ -2,11 +2,13 @@
 
 Labels run over the three families with q in [1e-4, 5], mu in [0.1, 10],
 |zeta| in [1e-2, 1e3] and any phase, so windows reach n0 ~ 1e6.  The
-moment check runs over both oscillators with q in [1e-10, 5].  The
-examples are derandomized, so the suite stays deterministic.
+moment check runs over both oscillators with q in [6e-297, 1e300] and over
+exp-mass with mu in [1.5e-154, 1.3e154].  The examples are derandomized, so
+the suite stays deterministic.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -73,13 +75,33 @@ def test_coherent_state_cross_checks(label):
 
 
 
-@settings(derandomize=True, max_examples=50, deadline=None, database=None)
-@given(st.sampled_from(["nonlinear-osc", "bounded-osc"]),
-       st.floats(math.log(1e-10), math.log(5.0)))
-@example("nonlinear-osc", math.log(1e-10))
-@example("bounded-osc", math.log(5.0))
-def test_moments_reproduce_rho_across_the_q_range(model_id, log_q):
-    spec = models.make_model(model_id, nonlinearity=math.exp(log_q))
-    reports = measure.verify_moments(spec, n_max=8)
-    assert [r.n for r in reports] == list(range(9))
+@st.composite
+def moment_specs(draw):
+    model_id = draw(st.sampled_from(models.MODEL_IDS))
+    if model_id == "exp-mass":
+        mu = math.exp(draw(st.floats(math.log(1.5e-154), math.log(1.3e154))))
+        return models.make_model(model_id, mu=mu)
+    q = math.exp(draw(st.floats(math.log(6e-297), math.log(1e300))))
+    return models.make_model(model_id, nonlinearity=q)
+
+
+def moment_corner(model_id, param):
+    key = "mu" if model_id == "exp-mass" else "nonlinearity"
+    return models.make_model(model_id, **{key: param})
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(moment_specs(), st.sampled_from([0, 8, 12]))
+@example(moment_corner("nonlinear-osc", 6e-297), 12)
+@example(moment_corner("bounded-osc", 1e300), 12)
+@example(moment_corner("exp-mass", 1.5e-154), 12)
+@example(moment_corner("exp-mass", 1.3e154), 12)
+def test_moments_reproduce_rho_across_the_q_range(spec, n_max):
+    # q from 6e-297 (the weight refuses below 5.6e-297) to 1e300 (the step e_12
+    # overflows from q ~ 1.1e306) and every mu make_model accepts; a 1% step
+    # bias must fail every row with n >= 1
+    reports = measure.verify_moments(spec, n_max=n_max)
+    assert [r.n for r in reports] == list(range(n_max + 1))
     assert all(r.passed for r in reports), [r.rel_error for r in reports]
+    biased = measure.verify_moments(dataclasses.replace(spec, step_bias=0.01), n_max=n_max)
+    assert [r.passed for r in biased] == [True] + [False] * n_max

@@ -392,23 +392,26 @@ def test_bessel_k_at_huge_order_against_a_40_digit_integral():
             assert abs(got - ref) <= 1e-13 * abs(ref), (nu, v)
 
 
-@pytest.mark.parametrize("q", [1e-10, 1e-6, 1e-4, 0.01, 1.0 / 11.0, 0.1, 1.0, 5.0])
+@pytest.mark.parametrize("q", [1e-10, 1e-6, 1e-4, 0.01, 1.0 / 11.0, 0.1, 1.0, 5.0,
+                               1e10, 1e100, 1e300])
 def test_weight_log_against_a_40_digit_integral(q):
-    # ln w~(xi) = ln 2 - ln q - ln Gamma(nu + 1) + nu/2 ln u + ln K_nu(2 sqrt u),
-    # u = xi/q and nu = 1 + 1/q, at 9 of the moment grid's nodes where w~ is
-    # a normal double; q = 1/11 puts nu at DEBYE_NU_MIN, q = 0.1 just below
+    # the scaled weight ln[S w~(S t)], S = 1 + 2q, is ln 2 + ln b - ln Gamma(nu + 1)
+    # + nu/2 ln u + ln K_nu(2 sqrt u) with b = 2 + 1/q = S/q, u = b t and
+    # nu = 1 + 1/q, at 9 of the moment grid's nodes t where it is a normal
+    # double; q = 1/11 puts nu at DEBYE_NU_MIN, q = 0.1 just below.  Below
+    # q ~ 1e-100 the 40 digits no longer resolve the O(nu ln nu) cancellation,
+    # so the moment sums in test_properties cover the smaller q
     mpmath = pytest.importorskip("mpmath")
-    ladder = QuadraticLadder(q, 1.0)
-    xi = np.exp(measure._U)
-    log_w = ladder.weight_log(xi)
+    t = np.exp(measure._U)
+    log_w = QuadraticLadder(q, 1.0).scaled_weight_log(t)
     normal = np.flatnonzero(np.abs(log_w) < 708.0)
     for i in normal[np.linspace(0, normal.size - 1, 9).astype(int)]:
         with mpmath.workdps(40):
-            q_mp, nu = mpmath.mpf(q), 1 + 1 / mpmath.mpf(q)
-            u = float(xi[i]) / q_mp
-            ref = float(mpmath.log(2 / q_mp) - mpmath.loggamma(nu + 1) + nu / 2 * mpmath.log(u)
+            b, nu = 2 + 1 / mpmath.mpf(q), 1 + 1 / mpmath.mpf(q)
+            u = float(t[i]) * b
+            ref = float(mpmath.log(2 * b) - mpmath.loggamma(nu + 1) + nu / 2 * mpmath.log(u)
                         + mp_log_besselk(nu, 2 * mpmath.sqrt(u)))
-        assert abs(log_w[i] - ref) <= 1e-13 * max(1.0, abs(ref)), (q, xi[i])
+        assert abs(log_w[i] - ref) <= 1e-13 * max(1.0, abs(ref)), (q, t[i])
 
 
 @pytest.mark.parametrize("nu", [11.0, DEBYE_NU_MIN, 1e10])
