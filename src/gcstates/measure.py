@@ -20,7 +20,7 @@ w~(xi) = exp(-xi/mu^2)/mu^2 (exp-mass; constant-mass limit: exp(-xi)).
 u = ln(xi/S), S the weight's first moment, and compares against rho_n
 computed from the ladder steps.  The two routes share no formula, which is
 the point.  One array of weights serves every n, and the check holds for
-every mu and, from q = 5.6e-297, every q that the ladder's steps allow.
+every mu and, from q = 5.6e-305, every q that the ladder's steps allow.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ MOMENT0_TOL = 1e-8
 CERTIFY_TOL = 1e-10
 
 
-#: the moment grid: 1025 nodes in u = ln t from ln 1e-30 to ln 1e12
-_U = np.linspace(math.log(1e-30), math.log(1e12), 1025)
-_H = (_U[-1] - _U[0]) / 1024
+#: the moment grid: 513 nodes in u = ln t from ln 1e-17 to ln 1e4, step 0.094
+_U = np.linspace(math.log(1e-17), math.log(1e4), 513)
+_H = (_U[-1] - _U[0]) / 512
 
 
 def verify_moments(spec: ModelSpec, n_max: int = 8) -> list[MomentReport]:
@@ -94,14 +94,14 @@ def verify_moments(spec: ModelSpec, n_max: int = 8) -> list[MomentReport]:
     u = ln t its trapezoid sum on the fixed grid _U converges geometrically
     (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).  The error bound is the
     change from the sum on every other node, plus the integrand at both end
-    nodes (past them it falls at least as e^{-|u|}), plus a rounding unit;
-    QuadratureError when it exceeds CERTIFY_TOL times the sum.  A moment
-    passes below MOMENT_TOL relative error, the n = 0 normalization below
-    the tighter MOMENT0_TOL.
+    nodes (below 3e-17 of the sum, and past them it falls at least as
+    e^{-|u|}), plus a rounding unit; QuadratureError when it exceeds
+    CERTIFY_TOL times the sum.  A moment passes below MOMENT_TOL relative
+    error, the n = 0 normalization below the tighter MOMENT0_TOL.
 
     rel_error and passed come from that scaled comparison; the other values
     are in label units (times S^n), inf or 0 past the double range.  The
-    weight refuses q below 5.6e-297, and rho_log a step past the double
+    weight refuses q below 5.6e-305, and rho_log a step past the double
     range (e_8 from q ~ 2.5e306), with ValueError.
     """
     if n_max != int(n_max) or not 0 <= n_max <= 12:

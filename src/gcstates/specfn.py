@@ -8,23 +8,21 @@ kernel's), is summed on one window of its series terms around their mode
 a complex |w| past 1e8 ``hyp0f1`` instead takes
 Gamma(b) w^{(1-b)/2} I_{b-1}(2 sqrt w), with the scaled Bessel function from
 Amos's algorithm (ACM TOMS 12 (1986) 265, Algorithm 644,
-``scipy.special.ive``), wherever that is finite.  K_nu comes from the same
-algorithm (``kve``) below the order DEBYE_NU_MIN = 12, and from Debye's
-uniform expansion (DLMF 10.41; Olver 1974, ch. 10) above it and past Amos's
-argument limit x ~ 1.07e9.
+``scipy.special.ive``), wherever that is finite.  K_nu enters only through
+the oscillators' measure density, which is one trapezoid sum on K_nu's
+integral (DLMF 10.32.10) at every order nu >= 1 and every x.
 
 Magnitudes are wild (generalized factorials grow faster than n!), so the
-kernels work in log space: ``pochhammer_log`` and the two Bessel routines
+kernels work in log space: ``pochhammer_log`` and ``bessel_density_log``
 return logarithms, and ``hyp0f1`` returns the complex ln 0F1.
 
-scipy is imported inside the routines that call it, so ``import gcstates``
+scipy is imported inside the routine that calls it, so ``import gcstates``
 loads none of it.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +36,6 @@ __all__ = [
     "hyp0f1_term_log",
     "hyp0f1_terms",
     "hyp0f1",
-    "bessel_k",
     "bessel_density_log",
 ]
 
@@ -169,86 +166,59 @@ def hyp0f1(b: float, w: complex) -> SeriesResult:
     return SeriesResult(complex(value.real, math.remainder(value.imag, math.tau)), len(n))
 
 
-#: least order at which K_nu comes from Debye's expansion, not kve
-DEBYE_NU_MIN = 12.0
+#: 1/16!, ..., 1/2!: the Taylor coefficients of g(r) = e^r - 1 - r over r^2
+_G_SERIES = [1.0 / math.factorial(j) for j in range(16, 1, -1)]
 
 
-def bessel_k(nu: float, x):
-    """ln K_nu(x) for nu >= 0 and x > 0, a float or an array of them.
-
-    Below DEBYE_NU_MIN, ln kve(nu, x) - x with Amos's kve = K e^x.  From it
-    on at every x, and past Amos's limit x ~ 1.07e9 (kve NaN) at any nu > 0,
-    Debye's ln(pi/2nu)/2 - nu (s - asinh(nu/x)) + ln sum - ln s/2 (see
-    _debye), within 3e-14 of ln K at nu = 12 to 13.5.  Where neither answers
-    (K_nu or nu/x past the double range, or nu = 0 past Amos's limit)
-    ValueError names nu and the x refused.  A float x gives a float.
-    """
-    if nu < 0:
-        raise ValueError(f"bessel_k requires nu >= 0, got {nu}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(xs > 0):
-        raise ValueError(f"bessel_k requires x > 0, got {np.min(xs)}")
-    out = np.full(xs.shape, math.nan)
-    if nu < DEBYE_NU_MIN:
-        from scipy.special import kve
-
-        out = np.log(kve(nu, xs)) - xs  # inf where K_nu overflows, NaN past Amos
-    debye = np.isnan(out) & (nu > 0)
-    if debye.any():
-        s, _, rest = _debye(nu, xs[debye])
-        with np.errstate(over="ignore"):  # an infinite nu/x is refused below
-            out[debye] = (0.5 * math.log(math.pi / (2.0 * nu)) + rest
-                          - nu * (s - np.arcsinh(nu / xs[debye])))
-    refused = ~np.isfinite(out)
-    if refused.any():
-        raise ValueError(f"bessel_k({nu}, x) refuses x in [{xs[refused].min():.6g}, "
-                         f"{xs[refused].max():.6g}]: K_nu (below nu = {DEBYE_NU_MIN:g}) "
-                         f"or nu/x must fit a double, and nu > 0 past Amos's limit")
-    return float(out[0]) if np.ndim(x) == 0 else out
+def _left_end(m):
+    """a with m g(-a) >= 36, as g(-a) = e^{-a} - 1 + a exceeds a - 1 and a^2/(2 + a)."""
+    return np.minimum(1.0 + 36.0 / m, (18.0 + np.sqrt(324.0 + 72.0 * m)) / m)
 
 
 def bessel_density_log(nu: float, u):
-    """ln[2 u^{nu/2} K_nu(2 sqrt u) / Gamma(nu + 1)], nu >= 0, u finite > 0 (or an array).
+    """ln[2 u^{nu/2} K_nu(2 sqrt u) / Gamma(nu + 1)] for finite nu >= 1 and u >= 0 (or an array).
 
-    The density with Mellin transform Gamma(s) Gamma(s + nu)/Gamma(nu + 1).  Below
-    DEBYE_NU_MIN it adds bessel_k to ln 2 - ln Gamma(nu + 1) + nu/2 ln u, parts
-    O(nu ln nu) that cancel; from it on Debye's sum at x = 2 sqrt u (see _debye) and
-    Stirling give nu (log1p(d/2) - d) - ln nu - mu(nu) + ln sum - ln s/2, all O(1).
+    The density with Mellin transform Gamma(s) Gamma(s + nu)/Gamma(nu + 1).  By
+    u^{nu/2} K_nu(2 sqrt u) = int_0^inf s^{nu-1} e^{-s-u/s} ds / 2 (DLMF 10.32.10) at
+    s = m e^r, m = (nu + A)/2 the peak, A = hypot(nu, 2 sqrt u) and k = u/m = m - nu,
+    and Stirling's formula, it is a sum of O(1) parts, nu log1p(k/nu) - 2k - ln nu/2
+    - mu(nu) - ln(2 pi)/2 + ln int e^{-E(r)} dr, where E(r) = nu g(r) + k (e^r - 1)^2
+    e^{-r} >= 0, g(r) = e^r - 1 - r, is about A r^2/2 near r = 0.  The integral is a
+    trapezoid sum, geometric in its step (Trefethen & Weideman, SIAM Rev. 56 (2014)
+    385), from -_left_end(m) to 9 widths w = A^{-1/2}, where E has passed 36, on as
+    many nodes as u = 0 needs at steps of min(w/2, 1/5) (no u's step is then past
+    0.6 w), so each value depends on its own u alone.  g is expm1(r) - r, which loses
+    nu eps |r|, or where u = 0's nodes all lie in |r| < 1/2 (nu > 360) its series.
     """
+    if not 1.0 <= nu < math.inf:
+        raise ValueError(f"bessel_density_log needs a finite nu >= 1, got {nu}")
     us = np.asarray(u, dtype=float)
-    if not np.all((us > 0) & (us < math.inf)):
-        raise ValueError(f"bessel_density_log needs finite u > 0, got [{us.min()}, {us.max()}]")
-    x = 2.0 * np.sqrt(us)
-    if nu < DEBYE_NU_MIN:
-        out = math.log(2.0) - math.lgamma(nu + 1.0) + 0.5 * nu * np.log(us) + bessel_k(nu, x)
+    if not np.all((us >= 0) & (us < math.inf)):
+        raise ValueError(f"bessel_density_log needs finite u >= 0, got [{us.min()}, {us.max()}]")
+    big = np.hypot(nu, 2.0 * np.sqrt(us))
+    k = us / (0.5 * (nu + big))
+    lo, lo0, width0 = -_left_end(nu + k), float(_left_end(nu)), nu**-0.5
+    nodes = 1 + math.ceil((lo0 + 9.0 * width0) / min(0.5 * width0, 0.2))
+    step = (9.0 / np.sqrt(big) - lo) / (nodes - 1)
+    # in place on (len(u), nodes) arrays: plain expressions' temporaries double the cost
+    r = np.multiply.outer(step, np.arange(nodes, dtype=float))
+    r += lo[..., None]
+    em1 = np.expm1(r)
+    kterm = em1 + 1.0  # e^r to eps e^{-r} relative, lost far left where nu g(r) ~ nu |r|
+    np.divide(em1, kterm, out=kterm)
+    kterm *= em1
+    kterm *= -k[..., None]
+    if max(lo0, 9.0 * width0) < 0.5:
+        g = np.polyval(_G_SERIES, r)
+        g *= np.square(r, out=r)
     else:
-        _, d, rest = _debye(nu, x)
-        out = nu * (np.log1p(0.5 * d) - d) - math.log(nu) - _binet(nu) + rest
+        g = np.subtract(em1, r, out=em1)
+    g *= -nu
+    g += kterm
+    total = np.exp(g, out=g).sum(axis=-1) * step
+    out = (nu * np.log1p(k / nu) - 2.0 * k + np.log(total)
+           - (0.5 * math.log(nu) + _binet(nu) + _HALF_LN_2PI))
     return float(out) if np.ndim(u) == 0 else out
-
-
-def _debye(nu: float, x):
-    """(s, d, ln sum - ln s/2) of Debye's K_nu(nu z) ~ (pi/2nu)^(1/2) e^{-nu eta} sum/s^(1/2):
-    z = x/nu, s = sqrt(1 + z^2), d = s - 1, sum = sum_{k<16} (-1)^k U_k(1/s)/nu^k, DLMF 10.41.4."""
-    z = x / nu
-    s = np.hypot(1.0, z)
-    tail = np.zeros_like(s)  # sum - 1: U_0 = 1 is the only constant term
-    for c in ((-1.0 / nu) ** np.arange(16) @ _debye_table())[:0:-1]:
-        tail = tail / s + c
-    return s, z * (z / (1.0 + s)), np.log1p(tail / s) - 0.5 * np.log(s)
-
-
-@functools.cache
-def _debye_table():
-    """Row k < 16: U_k(p) by power of p, built on first use from U_0 = 1 and
-    U_{k+1} = p^2 (1 - p^2) U_k'/2 + int_0^p (1 - 5t^2) U_k dt / 8 (DLMF 10.41.10)."""
-    table = np.eye(16, 46)  # U_0 = 1; rows 1..15 are overwritten
-    j = np.arange(1.0, 46.0)
-    for k in range(1, 16):
-        u, du = table[k - 1], j * table[k - 1, 1:]
-        table[k, 1:] = (u[:-1] - 5.0 * np.append([0.0, 0.0], u[:-3])) / (8.0 * j)
-        table[k, 2:] += 0.5 * (du[:-1] - np.append([0.0, 0.0], du[:-3]))
-    return table
 
 
 # kept because the benchmark tracer (perfbench) replaces it by name; goes with its next change

@@ -40,7 +40,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # expected stdout frozen from the CLI before the ladder-family refactor; the
 # three further verify families were frozen before verification left the CLI,
-# verify_corrupt_moments re-captured when ln K_nu moved to Amos's kve, and
+# verify_corrupt_moments re-captured when ln K_nu moved to Amos's algorithm, and
 # moments and verify_corrupt_moments again when the moment check became one
 # fixed-grid trapezoid sum, and coherent, stats, fig1 and verify_annihilation
 # when coherent states moved onto a window around their peak, stats when
@@ -68,7 +68,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # control; under --corrupt-steps the commutator, raising, rho product and
 # residual rows now fail); verify_corrupt_moments, verify_all and
 # verify_corrupt_all were re-captured when the oscillators' weight began to
-# add ln q after the rest of the kve sum in specfn.bessel_density_log (only
+# add ln q after the rest of the Amos sum in specfn.bessel_density_log (only
 # the q = 0.1 moment values and their max_rel_error moved, by round-off);
 # stats_deep_osc (n0 = 43 and 81) and stats_deep_exp (n0 = 3106 and 2376)
 # were captured before the per-label path stopped building throwaway arrays,
@@ -76,7 +76,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # cumulative sum and the anchor ln(x^n0 / rho_n0); verify_corrupt_moments,
 # verify_all and verify_corrupt_all were re-captured when the moment sum
 # moved into the weight's own scale t = xi/S (only the oscillators' moment
-# values and max_rel_error moved, each by under 3e-15)
+# values and max_rel_error moved, each by under 3e-15); moments,
+# verify_corrupt_moments, verify_all and verify_corrupt_all were re-captured
+# when ln K_nu became one trapezoid sum on its integral and the moment grid
+# was cut to t in [1e-17, 1e4] (only round-off digits moved: each moment by
+# under 5e-15 relative, each rel_error and max_rel_error by under 7e-15)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -456,8 +460,8 @@ def test_out_writes_file(tmp_path, capsys):
         # and at q = 0.9 the grid triple converges at observed order 1.24
         ["oracle", "--lambda-prime", "2"],
         ["oracle", "--lambda-prime", "0.9"],
-        # t (2 + 1/q) overflows on the moment grid below q ~ 5.6e-297
-        ["moments", "--lambda-prime", "1e-300", "--nmax", "2"],
+        # t (2 + 1/q) overflows on the moment grid below q ~ 5.6e-305
+        ["moments", "--lambda-prime", "1e-306"],
         # the ladder step e_1 = 1 + 2q overflows a double, in ln rho_n and in the window
         ["spectrum", "--lambda-prime", "1e308", "--nmax", "3"],
         ["coherent", "--lambda-prime", "1e308", "--z", "1"],
@@ -488,9 +492,10 @@ def test_huge_q_refusal_names_q_and_the_first_overflowing_rho(capsys):
     ["--lambda-prime", "1e160"],
     ["--lambda-prime", "1e300", "--nmax", "0"],
     ["--model", "exp-mass", "--mu", "1e-12"],
-], ids=["q1e10", "q1e160", "q1e300", "mu1e-12"])
+    ["--lambda-prime", "1e-300", "--nmax", "2"],
+], ids=["q1e10", "q1e160", "q1e300", "mu1e-12", "q1e-300"])
 def test_moments_answer_far_from_the_grid_in_xi(args, capsys):
-    # the weight's mass sits far past xi = 1e12 or near xi = 1e-30, but the
+    # the weight's mass sits near xi = S, here from 1e-24 to 2e300, but the
     # sum runs in t = xi/S, where it sits at t ~ 1 for every q and mu
     code, out = run(["moments", *args], capsys)
     assert code == 0
@@ -524,10 +529,10 @@ def test_small_q_coarse_oracle_levels_are_within_their_bars(q, capsys):
 
 
 def test_tiny_q_refusal_names_q_and_the_moment_grid(capsys):
-    assert cli.main(["moments", "--lambda-prime", "1e-300", "--nmax", "2"]) == 2
+    assert cli.main(["moments", "--lambda-prime", "1e-306"]) == 2
     assert capsys.readouterr().err == (
-        "error: the weight at q = 1e-300 overflows t (2 + 1/q) at t = 1e+12; "
-        "q must be at least 5.6e-297 there\n")
+        "error: the weight at q = 1e-306 overflows t (2 + 1/q) at t = 10000; "
+        "q must be at least 5.6e-305 there\n")
 
 
 @pytest.mark.parametrize("alpha", ["1.4e154", "1e200"])

@@ -101,8 +101,7 @@ import contextlib, io, json, sys
 import gcstates, gcstates.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-stages = {"import": scipy_modules(),
-          "polynomial": sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))}
+stages = {"import": scipy_modules()}
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         stages[" ".join(args)] = [gcstates.cli.main(args), scipy_modules()]
@@ -116,7 +115,6 @@ def _probe(*commands):
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout)
     assert stages.pop("import") == []
-    assert stages.pop("polynomial") == []  # import builds no Debye table
     return stages
 
 
@@ -127,16 +125,17 @@ def _subpackages(loaded):
 
 
 def test_only_verify_loads_scipy_and_never_optimize_or_integrate():
+    # the oscillators' moment weight is a trapezoid sum in numpy, so moments
+    # loads no scipy and verify only the oracle's scipy.linalg
     stages = _probe(["coherent", "--z", "1+1i"], ["stats", "--z", "1.5"],
                     ["stats", "--z-sweep", "0", "2", "0.5"], ["fig1", "--zsq", "2"],
-                    ["spectrum"], ["moments", "--model", "exp-mass"], ["verify"])
+                    ["spectrum"], ["moments"], ["moments", "--model", "exp-mass"], ["verify"])
     verify_code, verify_loaded = stages.pop("verify")
     assert set(stages) == {"coherent --z 1+1i", "stats --z 1.5", "stats --z-sweep 0 2 0.5",
-                           "fig1 --zsq 2", "spectrum", "moments --model exp-mass"}
+                           "fig1 --zsq 2", "spectrum", "moments", "moments --model exp-mass"}
     assert list(stages.values()) == [[0, []]] * len(stages)
     assert verify_code == 0
-    assert {"scipy.special", "scipy.linalg"} <= set(verify_loaded)
-    assert not {"scipy.optimize", "scipy.integrate"} & set(verify_loaded)
+    assert _subpackages(verify_loaded) == {"scipy.linalg"}
 
 
 def test_oracle_loads_only_linalg():

@@ -86,8 +86,8 @@ def test_moments_reproduce_factorials(spec):
 )
 def test_moments_across_the_q_range(model, param):
     # the report's label-unit fields against rho_n summed exactly in rationals:
-    # nu = 1 + 1/q runs from 1.2 to 1e10, so below q = 1/11 (nu = 12) the
-    # weight comes from Debye's expansion and above it from kve; for exp-mass
+    # nu = 1 + 1/q runs from 1.2 to 1e10, so the weight's trapezoid sum takes
+    # g(r) from expm1 and, below q = 1/359 (nu = 360), from its series; for exp-mass
     # the parameter is mu, which moves the label-unit scale across 20 decades.
     # Past the double range a label-unit value reads inf (q = 1e300) or 0
     # (mu = 1e-150); the pass verdict comes from the sum in the weight's scale
@@ -118,8 +118,8 @@ def _exact_rho_label(spec, n):
                          ids=["q0.1", "q2", "exp-mass-mu1", "q0.01"])
 def test_grid_sum_matches_adaptive_quadrature(spec):
     # the independent reference: mpmath's tanh-sinh quadrature of the same
-    # weight in xi itself, not in the grid's u = ln xi; the oscillators' K_nu
-    # comes from Debye's expansion at q = 0.01 (nu = 101), from kve at 0.1 and 2
+    # weight in xi itself, not in the grid's u = ln xi, here at the orders
+    # nu = 1 + 1/q = 11, 1.5 and 101 of the oscillators' K_nu
     mpmath = pytest.importorskip("mpmath")
 
     def integrand(xi, n):
@@ -141,14 +141,24 @@ def test_grid_sum_refuses_a_tolerance_below_round_off(monkeypatch):
 
 
 def test_grid_sum_refuses_a_weight_off_the_grid(monkeypatch):
-    # a family whose scaled weight had its mass at t ~ 1e-24, not t ~ 1: only
-    # six decades above the grid's first node t = 1e-30, where the integrand
-    # in u = ln t, t w ~ 1e24 t, is still 1e-6 of the sum
+    # a family whose scaled weight had its mass at t ~ 1e-11, not t ~ 1: only
+    # six decades above the grid's first node t = 1e-17, where the integrand
+    # in u = ln t, t w ~ 1e11 t, is still 1e-6 of the sum
     monkeypatch.setattr(models.LinearLadder, "scaled_weight_log",
-                        lambda self, t: math.log(1e24) - 1e24 * t)
+                        lambda self, t: math.log(1e11) - 1e11 * t)
     with pytest.raises(QuadratureError) as exc:
         measure.verify_moments(expmass(1.0), n_max=2)
     assert exc.value.error_bound > 1e-10 * exc.value.estimate
+
+
+def test_weight_at_a_huge_q_and_a_tiny_xi():
+    # t = xi/S underflows to 0 at q = 1e300, xi = 1e-30, where the scaled weight
+    # is its t = 0 value ln b + bessel_density_log(nu, 0) = ln b - ln nu
+    spec = nonlinear(1e300)
+    ladder = spec.ladder
+    scale = ladder.moment_scale * spec.label_scale**2
+    expected = math.log(ladder.b) - math.log(1.0 + 1.0 / ladder.q) - math.log(scale)
+    assert measure.weight_tilde_log(spec, 1e-30) == pytest.approx(expected, rel=1e-15)
 
 
 def test_moment_zero_is_unity():

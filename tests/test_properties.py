@@ -2,7 +2,7 @@
 
 Labels run over the three families with q in [1e-4, 5], mu in [0.1, 10],
 |zeta| in [1e-2, 1e3] and any phase, so windows reach n0 ~ 1e6.  The
-moment check runs over both oscillators with q in [6e-297, 1e300] and over
+moment check runs over both oscillators with q in [6e-305, 1e300] and over
 exp-mass with mu in [1.5e-154, 1.3e154].  The examples are derandomized, so
 the suite stays deterministic.
 """
@@ -81,7 +81,7 @@ def moment_specs(draw):
     if model_id == "exp-mass":
         mu = math.exp(draw(st.floats(math.log(1.5e-154), math.log(1.3e154))))
         return models.make_model(model_id, mu=mu)
-    q = math.exp(draw(st.floats(math.log(6e-297), math.log(1e300))))
+    q = math.exp(draw(st.floats(math.log(6e-305), math.log(1e300))))
     return models.make_model(model_id, nonlinearity=q)
 
 
@@ -92,12 +92,12 @@ def moment_corner(model_id, param):
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(moment_specs(), st.sampled_from([0, 8, 12]))
-@example(moment_corner("nonlinear-osc", 6e-297), 12)
+@example(moment_corner("nonlinear-osc", 6e-305), 12)
 @example(moment_corner("bounded-osc", 1e300), 12)
 @example(moment_corner("exp-mass", 1.5e-154), 12)
 @example(moment_corner("exp-mass", 1.3e154), 12)
 def test_moments_reproduce_rho_across_the_q_range(spec, n_max):
-    # q from 6e-297 (the weight refuses below 5.6e-297) to 1e300 (the step e_12
+    # q from 6e-305 (the weight refuses below 5.6e-305) to 1e300 (the step e_12
     # overflows from q ~ 1.1e306) and every mu make_model accepts; a 1% step
     # bias must fail every row with n >= 1
     reports = measure.verify_moments(spec, n_max=n_max)

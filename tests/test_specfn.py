@@ -1,4 +1,4 @@
-"""Special-function layer: 0F1 and its terms, the K_nu routes.
+"""Special-function layer: 0F1 and its terms, the K_nu density.
 
 A real 0F1 is the quadratic ladder's window sum where b > 2, and the complex
 kernel at complex(x, 0) below.
@@ -6,7 +6,6 @@ kernel at complex(x, 0) below.
 
 import cmath
 import math
-import re
 
 import numpy as np
 import pytest
@@ -16,26 +15,19 @@ from gcstates import measure
 from gcstates.exceptions import ConvergenceError
 from gcstates.models import QuadraticLadder
 from gcstates.specfn import (
-    DEBYE_NU_MIN,
     HYP0F1_SERIES_MAX,
     bessel_density_log,
-    bessel_k,
     hyp0f1,
     hyp0f1_term_log,
     hyp0f1_terms,
     pochhammer_log,
 )
 
-# Amos's argument limit (2**31 - 1)/2 ~ 1.07e9: kve is NaN beyond it
-AMOS_X_MAX = (2**31 - 1) / 2
-
 # frozen from a 30-digit arbitrary-precision evaluation
 F01_1_1 = 2.27958530233606727
 F01_15_1 = 1.81343020392350938
 F01_12_10 = 2.24463643712114278
 LOG_F01_12_1E6 = 1936.76741503949720
-K0_1 = 0.421024438240708333
-K_HALF_2 = 0.119937771968061447
 LNK_35_50 = -51.6114420540941755
 K_NU007_74 = 76.6542933125059149  # nu = 1 + 1/0.07
 POCH_HALF_2 = -0.287682072451780927
@@ -69,16 +61,6 @@ def test_hyp0f1_contiguous_recurrence():
             lhs = fm - f0
             rhs = x / (b * (b - 1.0)) * fp
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
-
-
-def test_bessel_k_order_recurrence():
-    # K_{nu-1}(x) - K_{nu+1}(x) = -(2 nu / x) K_nu(x)
-    for nu in (1.0, 1.3, 4.7, 11.0):
-        for x in (0.7, 2.0, 10.0):
-            km = math.exp(bessel_k(nu - 1.0, x))
-            k0 = math.exp(bessel_k(nu, x))
-            kp = math.exp(bessel_k(nu + 1.0, x))
-            assert km - kp == pytest.approx(-(2.0 * nu / x) * k0, rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -250,30 +232,49 @@ def test_hyp0f1_takes_a_subnormal_imaginary_part():
     assert hyp0f1(3.0, w).value == hyp0f1(3.0, complex(w.real, 0.0)).value
 
 
+def log_besselk(nu, x):
+    """ln K_nu(x) for nu >= 1 and x > 0 (a float or an array), read off the
+    measure density: ln K_nu(x) = density(nu, x^2/4) - ln 2 + ln Gamma(nu + 1)
+    - nu ln(x/2), whose added parts are O(nu ln nu) and O(nu ln x)."""
+    x = np.asarray(x, dtype=float)
+    out = (bessel_density_log(nu, 0.25 * x * x) - math.log(2.0) + math.lgamma(nu + 1.0)
+           - nu * np.log(0.5 * x))
+    return float(out) if out.ndim == 0 else out
+
+
+def test_bessel_k_order_recurrence():
+    # K_{nu-1}(x) - K_{nu+1}(x) = -(2 nu / x) K_nu(x), at orders nu - 1 >= 1
+    for nu in (2.0, 2.3, 4.7, 11.0):
+        for x in (0.7, 2.0, 10.0):
+            km = math.exp(log_besselk(nu - 1.0, x))
+            k0 = math.exp(log_besselk(nu, x))
+            kp = math.exp(log_besselk(nu + 1.0, x))
+            assert km - kp == pytest.approx(-(2.0 * nu / x) * k0, rel=1e-8)
+
+
+# the density's orders are nu = 1 + 1/q > 1, so no case lies below nu = 1
 @pytest.mark.parametrize(
     "nu,x,expected_log",
     [
-        (0.0, 1.0, math.log(K0_1)),
-        (0.5, 2.0, math.log(K_HALF_2)),
         (3.5, 50.0, LNK_35_50),
         (1.0 + 1.0 / 0.07, 7.4, math.log(K_NU007_74)),
     ],
 )
 def test_bessel_k_frozen(nu, x, expected_log):
-    assert bessel_k(nu, x) == pytest.approx(expected_log, rel=1e-12, abs=1e-12)
+    assert log_besselk(nu, x) == pytest.approx(expected_log, rel=1e-12, abs=1e-12)
 
 
 def test_bessel_k_half_closed_form():
-    # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x} exactly
+    # K_{3/2}(x) = sqrt(pi/(2x)) e^{-x} (1 + 1/x) exactly
     for x in (0.1, 1.0, 8.0):
-        expected = 0.5 * math.log(math.pi / (2.0 * x)) - x
-        assert bessel_k(0.5, x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+        expected = 0.5 * math.log(math.pi / (2.0 * x)) - x + math.log1p(1.0 / x)
+        assert log_besselk(1.5, x) == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 3.5, 1.0 + 1.0 / 0.27, 1.0 + 1.0 / 0.07])
+@pytest.mark.parametrize("nu", [3.5, 1.0 + 1.0 / 0.27, 1.0 + 1.0 / 0.07])
 @pytest.mark.parametrize("x", [0.05, 0.3, 1.0, 7.4, 50.0])
 def test_bessel_k_against_scipy(nu, x):
-    assert bessel_k(nu, x) == pytest.approx(math.log(sp.kv(nu, x)), rel=1e-11, abs=1e-11)
+    assert log_besselk(nu, x) == pytest.approx(math.log(sp.kv(nu, x)), rel=1e-11, abs=1e-11)
 
 
 def test_bessel_k_underflow_range():
@@ -285,9 +286,11 @@ def test_bessel_k_underflow_range():
         + 0.5 * math.log(math.pi / (2.0 * x))
         + math.log1p((mu4 - 1.0) / (8.0 * x))
     )
-    assert bessel_k(nu, x) == pytest.approx(asym, abs=1e-6)
+    assert log_besselk(nu, x) == pytest.approx(asym, abs=1e-6)
 
 
+# Amos's argument limit (2**31 - 1)/2 ~ 1.07e9: kve is NaN beyond it
+AMOS_X_MAX = (2**31 - 1) / 2
 MPMATH_X = [1e-20, 1e-4, 1e-3, 0.1, 1.0, 30.0, 1e3, 1e6, 1e9, AMOS_X_MAX, 2e9, 1e11]
 
 
@@ -301,61 +304,28 @@ def test_bessel_k_against_mpmath(nu, x):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         ref = float(mpmath.log(mpmath.besselk(nu, x)))
-    assert abs(bessel_k(nu, x) - ref) <= 1e-13 * max(1.0, abs(ref))
-
-
-def test_bessel_k_region_boundaries():
-    # kve answers up to Amos's argument limit and returns NaN beyond it, and
-    # overflows to inf where K_nu itself exceeds the double range (small x at
-    # large order): Debye's expansion answers in both places
-    assert math.isfinite(sp.kve(1.2, AMOS_X_MAX))
-    assert math.isnan(sp.kve(1.2, math.nextafter(AMOS_X_MAX, math.inf)))
-    assert sp.kve(101.0, 1e-3) == math.inf
-    assert sp.kve(101.0, 1e-4) == math.inf
-    assert math.isfinite(sp.kve(51.0, 1e-3))
+    assert abs(log_besselk(nu, x) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize(
     "nu,x",
     [
-        (101.0, 1e-4),  # kve overflows: Debye
-        (101.0, 1e-3),  # kve overflows: Debye
-        (1.2, 2e9),  # kve NaN: Debye below DEBYE_NU_MIN
-        (101.0, 1e11),  # kve NaN: Debye
-        (1e4, 2e9),  # kve NaN: Debye
+        (101.0, 1e-4),  # kve overflows
+        (101.0, 1e-3),  # kve overflows
+        (1.2, 2e9),  # kve NaN, past Amos's limit
+        (101.0, 1e11),  # kve NaN
+        (1e4, 2e9),  # kve NaN
         (1e5, 2e9),  # kve NaN, and nu^2 > x: a large-x series diverges at once
     ],
 )
 def test_bessel_k_fallback_routes(nu, x):
+    # where Amos's kve gives no answer the trapezoid sum still does
     mpmath = pytest.importorskip("mpmath")
     assert not math.isfinite(sp.kve(nu, x))
     with mpmath.workdps(30):
         ref = float(mpmath.log(mpmath.besselk(nu, x)))
     # a few ulps of ln K, which at x ~ 1e9 is far tighter than relative 1e-13
-    assert abs(bessel_k(nu, x) - ref) <= max(1e-12, 4.0 * math.ulp(ref))
-
-
-def test_bessel_k_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        bessel_k(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        bessel_k(1.0, 0.0)
-    with pytest.raises(ValueError):
-        bessel_k(1.0, np.array([1.0, -1.0]))
-
-
-@pytest.mark.parametrize(
-    "nu,x",
-    [
-        (0.0, 2e9),  # past Amos's limit, where Debye needs nu > 0
-        (11.9, 1e-26),  # K_nu overflows a double, and nu is below DEBYE_NU_MIN
-        (DEBYE_NU_MIN, 1e-310),  # nu/x overflows a double
-    ],
-)
-def test_bessel_k_refuses_where_neither_route_answers(nu, x):
-    message = f"bessel_k({nu}, x) refuses x in [{x:g}, {x:g}]"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        bessel_k(nu, np.array([1.0, x]))
+    assert abs(log_besselk(nu, x) - ref) <= max(1e-12, 4.0 * math.ulp(ref))
 
 
 def mp_log_besselk(nu, x):
@@ -387,7 +357,7 @@ def test_bessel_k_at_huge_order_against_a_40_digit_integral():
     # kve overflows at nu = 1e6, x = 1 and 2
     pytest.importorskip("mpmath")
     for nu, x in ((1e6, [1.0, 2.0]), (1e10, [1e5, 3e10])):
-        for got, v in zip(bessel_k(nu, np.array(x)), x):
+        for got, v in zip(log_besselk(nu, np.array(x)), x):
             ref = float(mp_log_besselk(nu, v))
             assert abs(got - ref) <= 1e-13 * abs(ref), (nu, v)
 
@@ -398,7 +368,7 @@ def test_weight_log_against_a_40_digit_integral(q):
     # the scaled weight ln[S w~(S t)], S = 1 + 2q, is ln 2 + ln b - ln Gamma(nu + 1)
     # + nu/2 ln u + ln K_nu(2 sqrt u) with b = 2 + 1/q = S/q, u = b t and
     # nu = 1 + 1/q, at 9 of the moment grid's nodes t where it is a normal
-    # double; q = 1/11 puts nu at DEBYE_NU_MIN, q = 0.1 just below.  Below
+    # double; q = 0.1 is verify's default (nu = 11), q = 1/11 gives nu = 12.  Below
     # q ~ 1e-100 the 40 digits no longer resolve the O(nu ln nu) cancellation,
     # so the moment sums in test_properties cover the smaller q
     mpmath = pytest.importorskip("mpmath")
@@ -414,19 +384,53 @@ def test_weight_log_against_a_40_digit_integral(q):
         assert abs(log_w[i] - ref) <= 1e-13 * max(1.0, abs(ref)), (q, t[i])
 
 
-@pytest.mark.parametrize("nu", [11.0, DEBYE_NU_MIN, 1e10])
-@pytest.mark.parametrize("u", [0.0, -1.0, math.inf, math.nan])
+def mp_log_density(nu, u):
+    """ln[2 u^{nu/2} K_nu(2 sqrt u) / Gamma(nu + 1)] to 40 digits, u > 0."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        nu, u = mpmath.mpf(nu), mpmath.mpf(u)
+        return (mpmath.log(2) - mpmath.loggamma(nu + 1) + nu / 2 * mpmath.log(u)
+                + mp_log_besselk(nu, 2 * mpmath.sqrt(u)))
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.2, 2.0, 11.0, 12.0, 101.0, 1e4, 1e6, 1e10])
+def test_bessel_density_log_against_40_digit_references(nu):
+    # u = (nu + 1) t = b t across the moment grid's reach t in [1e-17, 1e4], and
+    # x = 2 sqrt u = 2e9, past the argument limit of Amos's Bessel routines
+    pytest.importorskip("mpmath")
+    u = np.append((nu + 1.0) * np.geomspace(1e-17, 1e4, 8), 1e18)
+    for got, v in zip(bessel_density_log(nu, u), u):
+        ref = float(mp_log_density(nu, v))
+        assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (nu, v)
+
+
+@pytest.mark.parametrize("nu", [1.0, 11.0, 12.0, 1e10, 1e300])
+def test_bessel_density_log_at_zero_is_minus_ln_nu(nu):
+    # 2 u^{nu/2} K_nu(2 sqrt u) -> Gamma(nu) as u -> 0, so the density is 1/nu
+    assert abs(bessel_density_log(nu, 0.0) + math.log(nu)) <= 1e-14 * max(1.0, math.log(nu))
+
+
+@pytest.mark.parametrize("nu", [11.0, 12.0, 1e10])
+@pytest.mark.parametrize("u", [-1.0, math.inf, math.nan])
 def test_bessel_density_log_refuses_a_bad_argument(nu, u):
-    with pytest.raises(ValueError, match="needs finite u > 0"):
+    with pytest.raises(ValueError, match="needs finite u >= 0"):
         bessel_density_log(nu, np.array([1.0, u]))
 
 
-@pytest.mark.parametrize("nu", [1.2, 51.0, 101.0, 1001.0])
-def test_bessel_k_array_matches_scalar_calls(nu):
-    # spans both routes: kve, Debye below DEBYE_NU_MIN past Amos's limit,
-    # and Debye at every x above it
-    x = np.concatenate([np.geomspace(1e-20, 1e9, 40), [2e9, 1e11]])
-    got = bessel_k(nu, x)
-    assert isinstance(got, np.ndarray) and got.shape == x.shape
-    assert got.tolist() == [bessel_k(nu, float(v)) for v in x]
-    assert isinstance(bessel_k(nu, 1.0), float)
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0 - 1e-16, math.nan])
+def test_bessel_density_log_refuses_an_order_below_one(nu):
+    # the moment weight's order is nu = 1 + 1/q > 1
+    with pytest.raises(ValueError, match="needs a finite nu >= 1"):
+        bessel_density_log(nu, 1.0)
+
+
+@pytest.mark.parametrize("nu", [1.2, 11.0, 51.0, 101.0, 1001.0, 1e10])
+def test_bessel_density_log_array_matches_scalar_calls(nu):
+    # bit for bit: each value takes its node count from nu alone, and the
+    # Taylor series of g (from nu = 360) or expm1 for every u alike
+    u = np.concatenate([[0.0], np.geomspace(1e-40, 1e20, 40)])
+    got = bessel_density_log(nu, u)
+    assert isinstance(got, np.ndarray) and got.shape == u.shape
+    assert got.tolist() == [bessel_density_log(nu, float(v)) for v in u]
+    assert isinstance(bessel_density_log(nu, 1.0), float)
