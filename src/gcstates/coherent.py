@@ -113,7 +113,7 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
         phase = cmath.exp(1j * theta * n0) * np.exp(1j * theta * np.arange(len(log_coeff)))
     # the closed normalizer only describes the unbiased ladder, so the check
     # is skipped under an injected fault; its tolerance grows with ln N
-    closed, mean, var = spec.ladder.closed(abs(z) ** 2 / spec.label_scale**2)
+    closed, mean, var = spec.ladder.closed(x)
     gap = abs(log_norm - closed)
     if spec.step_bias == 0.0 and gap > 1e-9 + 1e-12 * abs(log_norm):
         raise ConsistencyError(

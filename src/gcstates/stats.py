@@ -112,7 +112,7 @@ def summary_closed(state: CoherentState) -> StatsSummary:
 def mandel_q_closed(spec: ModelSpec, abs_z: float) -> float:
     """Closed-form Mandel Q at label magnitude |z| without building a state."""
     try:
-        x = abs_z**2 / spec.label_scale**2
+        x = (abs_z / spec.label_scale) ** 2
     except OverflowError:
         x = math.inf
     if not (abs_z >= 0 and x < math.inf):

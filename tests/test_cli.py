@@ -650,6 +650,8 @@ def test_oracle_params_column_names_the_exp_mass_parameters(capsys):
         # b = 2 + 1/q = 1e300, whose square overflowed in the window's mode
         ["stats", "--lambda-prime", "1e-300", "--z", "1"],
         ["fig1", "--lambda-primes", "1e-300"],
+        # |zeta|^2 = 4e6, though |z|^2 = 4e308 overflows a double
+        ["stats", "--model", "exp-mass", "--mu", "1e151", "--z", "2e154"],
     ],
 )
 def test_deep_labels_exit_zero(args, capsys):
@@ -669,7 +671,8 @@ def test_deep_labels_exit_zero(args, capsys):
         # the matched-mean distributions all sit near n = 1e6, past nmax = 30
         assert {row[-1] for row in rows} == {"0"}
     elif "exp-mass" in args:
-        assert float(rows[0][3]) == pytest.approx(1e6, rel=1e-10)
+        zeta = float(args[-1]) / float(args[args.index("--mu") + 1])
+        assert float(rows[0][3]) == pytest.approx(zeta**2, rel=1e-10)
         assert rows[0][6] == "Poissonian"
 
 

@@ -145,6 +145,20 @@ def test_construct_refuses_a_peak_past_the_range():
         coherent.construct(nonlinear(0.1), 1e9)
 
 
+def test_construct_takes_a_label_whose_square_overflows():
+    # |z|^2 = 4e308 overflows a double; |zeta|^2 = 4e6, the closed form's x, does not
+    st = coherent.construct(expmass(1e151), 2e154)
+    assert st.n0 > 0 and st.mean_closed == pytest.approx(4e6, rel=1e-15)
+
+
+def test_kernel_answers_at_a_peak_near_the_deepest():
+    # q = 1e-300: 2|w| = 1.8e308 overflowed in the 0F1 window's mode, which is
+    # the state's peak, about 9.0e7; the kernel sums the same window as ln N
+    st = coherent.construct(nonlinear(1e-300), 9500.0)
+    assert 9e7 < st.n0 < st.n0 + st.dim < coherent.PEAK_INDEX_MAX
+    assert st.spec.ladder.kernel_log(st.zeta.conjugate() * st.zeta) == st.log_norm_closed
+
+
 def test_coeffs_on_pads_the_window_with_zeros():
     st = coherent.construct(expmass(0.5), 30.0)
     lo, hi = st.n0 - 3, st.n0 + 5
@@ -307,8 +321,8 @@ def test_overlap_of_deep_neighbours_matches_the_kernel():
 
 @pytest.mark.parametrize("shift", [0.5, 0.5 + 0.5j])
 def test_overlap_of_deep_quadratic_neighbours(shift):
-    # conj(zeta_a) zeta_b / q ~ 1e11 is past the 0F1 series range, so the
-    # kernel comes from Amos's ive; overlap raises on a split from it
+    # conj(zeta_a) zeta_b / q ~ 1e11: the kernel is a window of some 10,000
+    # 0F1 terms around n ~ 3e5; overlap raises on a split from it
     spec = nonlinear(0.1)
     a = coherent.construct(spec, 1e5)
     b = coherent.construct(spec, 1e5 + shift)
@@ -317,8 +331,9 @@ def test_overlap_of_deep_quadratic_neighbours(shift):
 
 
 def test_overlap_at_large_order_where_ive_underflows():
-    # b = 2 + 1/q ~ 1e6 against 2 sqrt|w| ~ 4e6: ive underflows to 0, so the
-    # kernel is the 0F1 term window, some 22,500 terms around n ~ 1.6e6;
+    # b = 2 + 1/q ~ 1e6 against 2 sqrt|w| ~ 4e6, an order at which the Bessel
+    # form's ive would underflow: the kernel is the 0F1 term window, some
+    # 22,500 terms around n ~ 1.6e6;
     # the frozen value is the coefficient sum, which never calls hyp0f1
     spec = nonlinear(1e-6)
     a = coherent.construct(spec, 2000.0)

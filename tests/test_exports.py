@@ -82,15 +82,17 @@ def _absolute_imports(nodes):
 
 
 def test_scipy_is_imported_only_inside_functions():
-    # importing scipy.special or scipy.linalg costs a command more than its own
-    # run, so only the routines that compute with them import them
+    # importing scipy.linalg costs a command more than its own run, so only the
+    # routines that compute with it import it; nothing imports scipy.special,
+    # whose every kernel the package computes itself, or scipy.optimize
     assert [
         f"{name}: {module}" for name, tree in sorted(SOURCES.items())
         for module in _absolute_imports(_own_nodes(tree)) if module.split(".")[0] == "scipy"
     ] == []
     assert [
         f"{name}: {module}" for name, tree in sorted(SOURCES.items())
-        for module in _absolute_imports(ast.walk(tree)) if module.startswith("scipy.optimize")
+        for module in _absolute_imports(ast.walk(tree))
+        if module.startswith(("scipy.optimize", "scipy.special"))
     ] == []
 
 

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from gcstates import measure
-from gcstates.exceptions import ConvergenceError
+from gcstates import coherent, measure, models
 from gcstates.models import QuadraticLadder
 from gcstates.specfn import (
-    HYP0F1_SERIES_MAX,
+    HYP0F1_MODE_MAX,
     bessel_density_log,
     hyp0f1,
     hyp0f1_term_log,
@@ -142,30 +141,35 @@ def test_hyp0f1_against_mpmath(b, x):
     assert real_0f1_log(b, x) == pytest.approx(ref, rel=1e-15)
 
 
-def test_hyp0f1_routes_agree_at_the_switch():
-    # the complex kernel's series and Bessel form meet the window's value
-    # on the real axis
-    above = math.nextafter(HYP0F1_SERIES_MAX, math.inf)
-    for b in (2.5, 12.0, 52.0):
-        series = hyp0f1(b, complex(HYP0F1_SERIES_MAX, 0.0))
-        bessel = hyp0f1(b, complex(above, 0.0))
-        assert series.terms_used > 0 and bessel.terms_used == 0
-        assert bessel.value.real == pytest.approx(series.value.real, rel=1e-14)
-        window = real_0f1_log(b, HYP0F1_SERIES_MAX)
-        assert series.value.real == pytest.approx(window, rel=1e-14)
-
-
 def test_hyp0f1_rejects_bad_parameters():
     with pytest.raises(ValueError):
         hyp0f1(0.0, complex(1.0, 0.0))
     # the window refuses a negative x
     with pytest.raises(ValueError, match="negative"):
         real_0f1_log(5.0, -1.0)
-    # 2 sqrt x is past Amos's argument limit, so ive is NaN, and the series
-    # would need some 1e9 terms
-    assert cmath.isnan(sp.ive(1.0, complex(2e9, 0.0)))
-    with pytest.raises(ConvergenceError):
+    # the window's mode would be about 1e9, past HYP0F1_MODE_MAX; so is a NaN's
+    with pytest.raises(ValueError, match="mode"):
         hyp0f1(2.0, complex(1e18, 0.0))
+    with pytest.raises(ValueError, match="mode"):
+        hyp0f1(2.0, complex(math.nan, 0.0))
+
+
+def test_hyp0f1_answers_at_the_deepest_peak():
+    # the kernel at construct's deepest peak: the mode formula puts it at
+    # 1e8 (1 + 1e-16), whose integer part is HYP0F1_MODE_MAX itself
+    q = 1000.0
+    spec = models.make_model("nonlinear-osc", nonlinearity=q)
+    x = models.step(spec, coherent.PEAK_INDEX_MAX)
+    res = hyp0f1(spec.ladder.b, complex(x / q, 0.0))
+    assert res.terms_used > 0
+    assert res.value.real == pytest.approx(spec.ladder.closed(x)[0], rel=1e-15)
+
+
+def test_hyp0f1_terms_mode_past_half_the_double_range():
+    # 2|w| overflows here, yet the mode is about 9.0e7 (q = 1e-300, |z| = 9500)
+    n, p = hyp0f1_terms(2.0 + 1e300, 9.025e307)
+    mode = n[int(p.argmax())]
+    assert mode == pytest.approx(9.025e7, rel=1e-3) and mode < HYP0F1_MODE_MAX
 
 
 @pytest.mark.parametrize(
@@ -178,8 +182,8 @@ def test_hyp0f1_complex_against_scipy(w):
 
 
 def test_hyp0f1_complex_reduces_to_real():
-    # on the real axis the series or Bessel form gives the window's ln 0F1
-    for x in (0.0, 7.0, 1e4, HYP0F1_SERIES_MAX, 1e10):
+    # on the real axis the complex window gives the real window's ln 0F1
+    for x in (0.0, 7.0, 1e4, 1e8, 1e10):
         cplx = hyp0f1(5.0, complex(x, 0.0)).value
         assert cplx.imag == 0.0
         assert cplx.real == pytest.approx(real_0f1_log(5.0, x), rel=1e-14, abs=1e-15)
@@ -189,28 +193,22 @@ def test_hyp0f1_complex_reduces_to_real():
 @pytest.mark.parametrize("size", [1e6, 1e9, 1e11])
 @pytest.mark.parametrize("arg", [0.3, 1.0, 3.0, math.pi - 1e-3])
 def test_hyp0f1_complex_against_mpmath(b, size, arg):
-    # the docstring's contract: ln|F| to 1e-13 relative past the series
-    # range, and F to 1e-13 times 0F1(b; |w|) within it
+    # the docstring's contract at every |w|: F to 1e-13 times 0F1(b; |w|)
     mpmath = pytest.importorskip("mpmath")
     w = cmath.rect(size, arg)
     res = hyp0f1(b, w)
     assert -math.pi < res.value.imag <= math.pi
     with mpmath.workdps(30):
         ref = mpmath.hyp0f1(b, mpmath.mpc(w.real, w.imag))
-        if size > HYP0F1_SERIES_MAX:
-            assert res.terms_used == 0
-            ref_log_abs = float(mpmath.log(abs(ref)))
-            assert abs(res.value.real - ref_log_abs) <= 1e-13 * abs(ref_log_abs)
-        else:
-            assert res.terms_used > 0
-            got = mpmath.exp(mpmath.mpc(res.value.real, res.value.imag))
-            assert abs(got - ref) <= 1e-13 * mpmath.hyp0f1(b, size)
+        assert res.terms_used > 0
+        got = mpmath.exp(mpmath.mpc(res.value.real, res.value.imag))
+        assert abs(got - ref) <= 1e-13 * mpmath.hyp0f1(b, size)
 
 
 @pytest.mark.parametrize(
     "size,arg",
     [(size, arg) for size in (1e-3, 1e3, 1e6) for arg in (0.3, 1.0, 3.0, math.pi - 1e-3)]
-    # past the series range, where ive(b - 1, 2 sqrt w) underflows at this order
+    # and past |w| = 1e8
     + [(1.2e8, 0.3), (1.2e8, 1.0)],
 )
 def test_hyp0f1_window_at_large_order_against_mpmath(size, arg):

@@ -106,6 +106,11 @@ def test_mandel_q_closed_refuses_a_label_past_the_double_range(spec, abs_z):
         stats.mandel_q_closed(spec, abs_z)
 
 
+def test_mandel_q_closed_takes_a_label_whose_square_overflows():
+    # |z|^2 = 4e308 overflows, but |zeta|^2 = (|z|/mu)^2 = 4e6 does not
+    assert stats.mandel_q_closed(expmass(1e151), 2e154) == 0.0
+
+
 def test_distribution_sums_to_one():
     for spec in (nonlinear(0.27), expmass(2.0)):
         st = coherent.construct(spec, 2.2)
