@@ -222,11 +222,11 @@ def annihilation_residual(state: CoherentState) -> float:
 
 
 def overlap_kernel(a: CoherentState, b: CoherentState) -> complex:
-    """<a|b> from the analytic kernel N(conj(zeta_a) zeta_b) / sqrt(Na Nb)."""
+    """<a|b> from the analytic kernel N(conj(zeta_a) zeta_b) / sqrt(Na Nb), all closed forms."""
     if a.spec != b.spec:
         raise ValueError("overlap requires states of the same model")
     log_n = a.spec.ladder.kernel_log(a.zeta.conjugate() * b.zeta)
-    return cmath.exp(log_n - 0.5 * (a.log_norm + b.log_norm))
+    return cmath.exp(log_n - 0.5 * (a.log_norm_closed + b.log_norm_closed))
 
 
 def overlap(a: CoherentState, b: CoherentState) -> complex:

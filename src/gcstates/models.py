@@ -72,7 +72,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ConsistencyError
-from .specfn import bessel_density_log, hyp0f1, hyp0f1_term_log, hyp0f1_terms, pochhammer_log
+from .specfn import bessel_density_log, hyp0f1, hyp0f1_term_log, hyp0f1_terms
 
 __all__ = [
     "MODEL_IDS",
@@ -96,6 +96,8 @@ class QuadraticLadder:
     Closed forms take n as an int (step, energy and remainder also as an
     index array), x = |zeta|^2 in step units (ln N, <n> and var n from one
     window of 0F1 terms), t = xi/S > 0 (see measure) and kernel_log w = conj(zeta_a) zeta_b.
+    ln rho_n is minus the 0F1 term ln t_n at w = 1/q, whose Stirling form
+    holds its parts to O(n): no n ln q cancels against ln (b)_n.
     """
 
     q: float
@@ -117,31 +119,27 @@ class QuadraticLadder:
         return self.unit * (1.0 + 2.0 * k * self.q)
 
     def rho_log(self, n: int) -> float:
-        """ln[n! q^n (b)_n]."""
-        return math.lgamma(n + 1) + (n * math.log(self.q) + pochhammer_log(self.b, n))
+        """ln[n! q^n (b)_n] = -ln t_n of 0F1(; b; 1/q); +0.0 at n = 0."""
+        return 0.0 - hyp0f1_term_log(self.b, 1.0 / self.q, n)
 
     def kernel_log(self, w: complex) -> complex:
         """ln N(w) at the overlap's complex w = conj(zeta_a) zeta_b."""
         return hyp0f1(self.b, w / self.q).value
 
-    def mean_var(self, x: float) -> tuple[float, float]:
-        """(<n>, var n) of P_n ~ t_n on the window, the variance centred."""
-        return self._moments(x)[2:]
-
     def closed(self, x: float) -> tuple[float, float, float]:
-        """(ln N, <n>, var n) from one window; ln N = ln 0F1(; b; x/q) = ln t_lo + ln sum."""
-        lo, total, mean, var = self._moments(x)
-        return hyp0f1_term_log(self.b, x / self.q, lo) + math.log(total), mean, var
+        """(ln N, <n>, var n) of P_n ~ t_n on one window of 0F1 terms at w = x/q.
 
-    def _moments(self, x: float):
-        """(lo, sum, <n>, var n) of specfn.hyp0f1_terms at w = x/q; x < 0 raises ValueError."""
+        ln N = ln t_lo + ln sum, the variance centred; x < 0 raises ValueError.
+        """
         if x < 0:
             raise ValueError(f"x = {x:g} is negative")
-        n, p = hyp0f1_terms(self.b, x / self.q)
+        w = x / self.q
+        n, p = hyp0f1_terms(self.b, w)
         total = p.sum()
         mean = float(n @ p) / total
         d = n - mean
-        return int(n[0]), total, mean, float((d * d) @ p) / total
+        log_norm = hyp0f1_term_log(self.b, w, int(n[0])) + math.log(total)
+        return log_norm, mean, float((d * d) @ p) / total
 
     @property
     def moment_scale(self) -> float:
@@ -185,9 +183,6 @@ class LinearLadder:
 
     def kernel_log(self, w: complex) -> complex:
         return w
-
-    def mean_var(self, x: float) -> tuple[float, float]:
-        return x, x
 
     def closed(self, x: float) -> tuple[float, float, float]:
         return x, x, x
@@ -245,8 +240,8 @@ def make_model(
     """Validate parameters and build a ModelSpec.
 
     Every model takes alpha > 0.  The two singular-mass oscillators take the
-    nonlinearity q > 0 and refuse a mu; exp-mass takes mu > 0 and refuses a
-    nonlinearity.
+    nonlinearity q > 0 (above about 5.6e-309, where b = 2 + 1/q is a double)
+    and refuse a mu; exp-mass takes mu > 0 and refuses a nonlinearity.
     """
     if model_id not in MODEL_IDS:
         raise ValueError(
@@ -264,6 +259,9 @@ def make_model(
             raise ValueError(f"{model_id} takes a nonlinearity (and alpha), not mu")
         if nonlinearity is None or not nonlinearity > 0:
             raise ValueError(f"{model_id} needs nonlinearity > 0, got {nonlinearity}")
+        if 2.0 + 1.0 / nonlinearity == math.inf:  # b, every closed form's 0F1 order
+            raise ValueError(f"{model_id} needs nonlinearity q above about 5.6e-309, where "
+                             f"2 + 1/q is a finite double, got {nonlinearity}")
         return ModelSpec(model_id, alpha=alpha, nonlinearity=float(nonlinearity))
 
     if nonlinearity is not None:
@@ -335,7 +333,7 @@ def rho_log(spec: ModelSpec, n: int) -> float:
     """ln rho_n, with rho_n = prod_{k=1..n} e_k and rho_0 = 1.
 
     Computed as the telescoping sum of ln e_k and cross-checked against the
-    closed Gamma/Pochhammer form on every call; disagreement raises
+    ladder's closed form on every call; disagreement raises
     ConsistencyError, and a step past the double range ValueError naming it.
     """
     n = _check_n(n)

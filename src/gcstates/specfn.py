@@ -1,16 +1,16 @@
 """Special-function kernels.
 
-Everything downstream leans on three primitives: the log-Pochhammer symbol,
-the confluent limit function 0F1 and the modified Bessel function K_nu.
-Every 0F1, real (a ladder's ln N, <n> and var) or complex (the overlap
-kernel's), is summed on one window of its series terms around their mode
-(``hyp0f1_terms``), anchored by Stirling's formula for the first term.
-K_nu enters only through the oscillators' measure density, which is one
-trapezoid sum on K_nu's integral (DLMF 10.32.10) at every order nu >= 1 and
-every x.
+Everything downstream leans on two primitives: the confluent limit function
+0F1 and the modified Bessel function K_nu.  Every 0F1, real (a ladder's
+ln N, <n> and var) or complex (the overlap kernel's), is summed on one
+window of its series terms around their mode (``hyp0f1_terms``), anchored
+by Stirling's formula for the first term, ``hyp0f1_term_log``.  That term
+at w = 1/q is also the quadratic ladder's 1/rho_n.  K_nu enters only
+through the oscillators' measure density, which is one trapezoid sum on
+K_nu's integral (DLMF 10.32.10) at every order nu >= 1 and every x.
 
 Magnitudes are wild (generalized factorials grow faster than n!), so the
-kernels work in log space: ``pochhammer_log`` and ``bessel_density_log``
+kernels work in log space: ``hyp0f1_term_log`` and ``bessel_density_log``
 return logarithms, and ``hyp0f1`` returns the complex ln 0F1.
 
 scipy is imported inside the routine that calls it, so ``import gcstates``
@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "SeriesResult",
-    "pochhammer_log",
     "hyp0f1_term_log",
     "hyp0f1_terms",
     "hyp0f1",
@@ -49,32 +48,20 @@ def _binet(z: float) -> float:
     return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / z
 
 
-def pochhammer_log(a: float, n: int) -> float:
-    """ln (a)_n = ln Gamma(a + n) - ln Gamma(a) for a > 0, integer n >= 0, in O(1).
-
-    The Stirling difference n ln a + (a + n - 1/2) log1p(n/a) - n + mu(a + n)
-    - mu(a); the lgamma difference cancels (by 1e-7 at a = 1e10).
-    """
-    if not (a > 0 and n >= 0 and n / a < math.inf):
-        raise ValueError(f"pochhammer_log requires a > 0, n >= 0 and a finite n/a, "
-                         f"got {a}, {n}")
-    return n * math.log(a) + (a + n - 0.5) * math.log1p(n / a) - n + (
-        _binet(a + n) - _binet(a))
-
-
 def hyp0f1_term_log(b: float, w: float, n: int) -> float:
     """ln t_n = ln[w^n / ((b)_n n!)], term n of the series of 0F1(; b; w), b, w > 0.
 
-    In O(1) by Stirling's formula: n ln(w / (n (b + n))) - (b - 1/2) log1p(n/b)
-    + 2n - ln(2 pi n)/2 - mu(n) - mu(b + n) + mu(b).  Its parts are O(n);
-    those of n ln w - ln (b)_n - ln n! are O(n ln n) and cancel near the
-    terms' mode w ~ n (b + n), there losing about 1e-15 relative.
+    In O(1) by Stirling's formula: n ln(w / (b + n) / n) - (b - 1/2) log1p(n/b)
+    + 2n - ln(2 pi n)/2 - mu(n) - mu(b + n) + mu(b), mu Binet's remainder.  Its
+    parts are O(n); those of n ln w - ln (b)_n - ln n! are O(n ln n) and cancel
+    near the terms' mode w ~ n (b + n), there losing about 1e-15 relative.  The
+    quotient divides twice, as n (b + n) overflows where b nears 1e308 (q -> 0).
     """
     if n == 0:
         return 0.0
     if not (b > 0 and w > 0):
         raise ValueError(f"hyp0f1_term_log requires b > 0 and w > 0, got {b}, {w}")
-    return (n * math.log(w / (n * (b + n))) - (b - 0.5) * math.log1p(n / b) + 2.0 * n
+    return (n * math.log(w / (b + n) / n) - (b - 0.5) * math.log1p(n / b) + 2.0 * n
             - 0.5 * math.log(n) - _HALF_LN_2PI - _binet(n) - _binet(b + n) + _binet(b))
 
 
@@ -100,9 +87,12 @@ def hyp0f1_terms(b: float, w: complex):
     and complex for a complex one, p[0] = 1 and the ratios' cumulative
     product written behind it in place; ln t_lo is hyp0f1_term_log(b, |w|, lo)
     + i lo arg w.  A mode whose integer part is past HYP0F1_MODE_MAX, or a NaN
-    w, raises ValueError.
+    w, raises ValueError, and so does an infinite |w| or a window whose top
+    denominator (b + n)(n + 1) overflows a double.
     """
     size = abs(w)
+    if size == math.inf:
+        raise ValueError(f"the 0F1 argument |w| = {size} is not a finite double")
     # the positive root of n (n + |b - 1|) = |w|, halving the denominator where
     # doubling |w| would overflow; `or 1.0` spares 0/0 at w = 0, b = 1
     mode = size / (0.5 * ((abs(b - 1.0) + math.hypot(b - 1.0, 2.0 * math.sqrt(size))) or 1.0))
@@ -110,8 +100,11 @@ def hyp0f1_terms(b: float, w: complex):
         raise ValueError(f"|w| = {size:g} puts the 0F1 window's mode past "
                          f"n = {HYP0F1_MODE_MAX:g}")
     half = int(9.0 * math.sqrt(mode + 1.0)) + 30
-    lo = max(int(mode) - half, 0)
-    n = np.arange(lo, int(mode) + half + 1, dtype=float)
+    lo, hi = max(int(mode) - half, 0), int(mode) + half
+    if (b + (hi - 1)) * hi == math.inf:
+        raise ValueError(f"the 0F1 window at b = {b:g}, |w| = {size:g} overflows a double "
+                         f"in its denominator (b + n)(n + 1) by n = {hi - 1}")
+    n = np.arange(lo, hi + 1, dtype=float)
     ratio = w / ((b + n[:-1]) * n[1:])  # n[1:] is n[:-1] + 1 exactly
     p = np.empty(len(n), dtype=ratio.dtype)
     p[0] = 1.0

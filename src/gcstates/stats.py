@@ -118,7 +118,7 @@ def mandel_q_closed(spec: ModelSpec, abs_z: float) -> float:
     if not (abs_z >= 0 and x < math.inf):
         raise ValueError(f"label |z| = {abs_z} must be nonnegative, and a |zeta|^2 past the "
                          f"double range puts the coherent-state peak past n = {PEAK_INDEX_MAX:g}")
-    return _mandel_q(*spec.ladder.mean_var(x))
+    return _mandel_q(*spec.ladder.closed(x)[1:])
 
 
 #: Newton steps match_mean_abs_z takes before it gives up
@@ -140,7 +140,7 @@ def match_mean_abs_z(spec: ModelSpec, target_mean: float) -> float:
     lo, hi = 0.0, math.inf  # x below and above the root
     x = target_mean * spec.ladder.step(1)
     for _ in range(MATCH_MAX_STEPS):
-        mean, var = spec.ladder.mean_var(x)
+        mean, var = spec.ladder.closed(x)[1:]
         gap = math.log(mean / target_mean)
         if gap < 0:
             lo = x

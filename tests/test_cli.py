@@ -80,7 +80,12 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # verify_corrupt_moments, verify_all and verify_corrupt_all were re-captured
 # when ln K_nu became one trapezoid sum on its integral and the moment grid
 # was cut to t in [1e-17, 1e4] (only round-off digits moved: each moment by
-# under 5e-15 relative, each rel_error and max_rel_error by under 7e-15)
+# under 5e-15 relative, each rel_error and max_rel_error by under 7e-15);
+# verify, verify_all and verify_corrupt_all were re-captured when the
+# quadratic ladder's closed ln rho_n became minus the 0F1 term ln t_n at
+# w = 1/q (only the oscillators' rho product and raising reconstruction rows
+# and the spectral_algebra max_rel_error moved: the rho row by one ulp of
+# ln rho_200, about 2.3e-13, and the others by round-off)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -307,6 +312,15 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         assert code == 2
 
 
+def test_config_switch_equals_its_flag(tmp_path, capsys):
+    # a switch's config value is taken as it is, so the file gives the flag's output
+    cfg = tmp_path / "corrupt.json"
+    cfg.write_text('{"corrupt_steps": true, "only": ["moments"], "nmax": 2}')
+    code, out = run(["verify", "--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == (GOLDEN / "verify_corrupt_moments.txt").read_text()
+
+
 def test_config_key_is_the_option_name(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"lambda_prime": 0.2}')
@@ -470,6 +484,21 @@ def test_out_writes_file(tmp_path, capsys):
         ["stats", "--model", "exp-mass", "--mu", "1e-150", "--z", "1e160"],
         # e_4 = 4 (1 + 5q) overflows a double, so rho_4 does
         ["moments", "--lambda-prime", "1e307"],
+        # b = 2 + 1/q overflows a double below q ~ 5.6e-309
+        ["spectrum", "--lambda-prime", "1e-310", "--nmax", "2"],
+        ["moments", "--lambda-prime", "1e-310"],
+        ["coherent", "--lambda-prime", "1e-310", "--z", "1"],
+        ["stats", "--lambda-prime", "1e-310", "--z", "1"],
+        ["fig1", "--lambda-primes", "1e-310"],
+        ["oracle", "--lambda-prime", "1e-310"],
+        # the 0F1 window's denominator (b + n)(n + 1) overflows at b = 1e307
+        ["coherent", "--lambda-prime", "1e-307", "--z", "3"],
+        ["stats", "--lambda-prime", "1e-307", "--z", "3"],
+        ["fig1", "--lambda-primes", "1e-307", "--zsq", "5"],
+        # the 0F1 argument |zeta|^2/q = 8.1e308 overflows a double
+        ["coherent", "--lambda-prime", "1e-301", "--z", "9000"],
+        # alpha^2 - 1 overflows a double
+        ["oracle", "--model", "exp-mass", "--alpha", "1e200"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):

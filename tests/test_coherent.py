@@ -157,6 +157,18 @@ def test_kernel_answers_at_a_peak_near_the_deepest():
     st = coherent.construct(nonlinear(1e-300), 9500.0)
     assert 9e7 < st.n0 < st.n0 + st.dim < coherent.PEAK_INDEX_MAX
     assert st.spec.ladder.kernel_log(st.zeta.conjugate() * st.zeta) == st.log_norm_closed
+    # the kernel divides by the closed norms, so a self-overlap is exactly 1;
+    # the step product's ln N is 6 ulps (1e-7) off at 9.0e7
+    assert coherent.overlap_kernel(st, st) == 1.0
+    assert coherent.overlap(st, st) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_self_overlap_at_the_deepest_peak():
+    # q = 1000, |zeta|^2 = e_{1e8}: the deepest peak construct accepts
+    spec = nonlinear(1000.0)
+    st = coherent.construct(spec, math.sqrt(models.step(spec, coherent.PEAK_INDEX_MAX)))
+    assert st.n0 + st.dim > coherent.PEAK_INDEX_MAX
+    assert coherent.overlap(st, st) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_coeffs_on_pads_the_window_with_zeros():
@@ -225,6 +237,30 @@ def test_distribution_holds_its_digits_against_poisson(zsq):
         for n, pn in enumerate(p, start=st.n0):
             ref = mpmath.exp(n * mpmath.log(x) - x - mpmath.loggamma(n + 1))
             assert float(abs(pn - ref) / ref) <= (1.0 + abs(math.log(pn))) * 2e-15, n
+
+
+@pytest.mark.parametrize("spec, dim", [(expmass(1.0), 990), (nonlinear(0.1), 412)],
+                         ids=["exp-mass", "q0.1"])
+def test_window_doubles_its_span_at_a_tiny_eps(spec, dim):
+    # eps = 1e-300 cuts at eps^2, past the first span's reach at |zeta|^2 = 100,
+    # so the span doubles once; ln P_n then holds to 1.7e-15 (1 + |ln P_n|)
+    mpmath = pytest.importorskip("mpmath")
+    st = coherent.construct(spec, 10.0, eps=1e-300)
+    assert st.n0 == 0 and st.dim == dim
+    with mpmath.workdps(40):
+        x, q = mpmath.mpf(100), mpmath.mpf(spec.nonlinearity or 0)
+        if q:
+            b = 2 + 1 / q
+            log_norm = mpmath.log(mpmath.hyp0f1(b, x / q))
+        else:
+            log_norm = x
+        assert st.log_norm == pytest.approx(float(log_norm), rel=6e-16)
+        for n, lc in enumerate(st.log_coeff.tolist()):
+            rho = mpmath.loggamma(n + 1)
+            if q:
+                rho += n * mpmath.log(q) + mpmath.loggamma(b + n) - mpmath.loggamma(b)
+            ref = n * mpmath.log(x) - rho - log_norm
+            assert abs(2.0 * lc - ref) <= 1.7e-15 * (1.0 + abs(ref)), n
 
 
 def test_truncation_grows_with_label():

@@ -192,6 +192,28 @@ def test_radius_infinite(spec):
     assert rep.diagnostic > 0.0
 
 
+@pytest.mark.parametrize("q", [6e-309, 1e-306])
+def test_radius_at_the_smallest_q(q):
+    # rho_1024 at b = 2 + 1/q near 1e308: ln t_n divides w/(b + n)/n, and
+    # n (b + n) would overflow; q -> 0 is the harmonic ladder, rho_n -> n!
+    rep = measure.radius(nonlinear(q))
+    assert rep.classification == "infinite"
+    assert rep.diagnostic == pytest.approx(math.exp(math.lgamma(1025.0) / 1024), rel=1e-14)
+
+
+def test_weight_refuses_a_label_at_the_origin():
+    for spec in (nonlinear(0.1), expmass(1.0)):
+        with pytest.raises(ValueError, match="xi must be positive"):
+            measure.weight_tilde_log(spec, 0.0)
+        with pytest.raises(ValueError, match="xi must be positive"):
+            measure.weight_tilde_log(spec, np.array([1.0, 0.0]))
+
+
+def test_classify_growth_refuses_decreasing_steps():
+    with pytest.raises(ValueError, match="nondecreasing"):
+        measure.classify_growth(lambda n: 1.0 / n)
+
+
 def test_classify_growth_finite_counterexample():
     # geometric steps have rho_n^{1/n} bounded: radius would be finite
     classification, _ = measure.classify_growth(lambda n: 2.0 - 1.0 / n)

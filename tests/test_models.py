@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +62,19 @@ def test_make_model_rejects_mu_whose_square_is_not_a_normal_double(mu):
 def test_make_model_accepts_mu_at_the_edges_of_its_range(mu):
     spec = models.make_model("exp-mass", mu=mu)
     assert 0.0 < spec.energy_unit < math.inf
+
+
+@pytest.mark.parametrize("model_id", ["nonlinear-osc", "bounded-osc"])
+@pytest.mark.parametrize("q", [5e-324, 1e-310, 1.0 / sys.float_info.max])
+def test_make_model_rejects_q_whose_b_overflows(model_id, q):
+    # b = 2 + 1/q, the 0F1 order of every closed form, is inf below about 5.6e-309
+    with pytest.raises(ValueError, match=rf"q above about 5\.6e-309.*got {q}$"):
+        models.make_model(model_id, nonlinearity=q)
+
+
+def test_make_model_accepts_q_at_the_edge_of_its_range():
+    q = math.nextafter(1.0 / sys.float_info.max, 1.0)
+    assert 2.0 + 1.0 / nonlinear(q).nonlinearity < math.inf
 
 
 def test_make_model_rejects_mixed_parameters():
@@ -192,6 +206,32 @@ def test_rho_closed_form_structure():
         - math.lgamma(2.0 + 1.0 / q)
     )
     assert models.rho_log(nonlinear(q), n) == pytest.approx(closed, rel=1e-13)
+
+
+# q from the smallest make_model accepts to 1e300; 1e-6, 0.02 and 1/(1e8 - 2) put
+# b = 2 + 1/q at 1e6 + 2, at 52 (where Binet's series takes over) and at 1e8
+RHO_QS = [6e-309, 1e-306, 1.8e-271, 1e-10, 1e-6, 1e-3, 0.02, 0.1, 0.27, 1.0, 1e10, 1e300,
+          1.0 / (1e8 - 2.0)]
+RHO_NS = [0, 1, 2, 3, 12, 200, 1024, 10**7, 10**8]
+
+
+@pytest.mark.parametrize("q", RHO_QS, ids=[f"q{q:.3g}" for q in RHO_QS])
+def test_rho_closed_form_against_mpmath(q):
+    # ln[n! q^n (b)_n] from loggamma with 60 digits past the 1/q that b carries
+    mpmath = pytest.importorskip("mpmath")
+    ladder = nonlinear(q).ladder
+    for n in RHO_NS:
+        if not ladder.step(float(n)) < math.inf:
+            continue
+        with mpmath.workdps(60 + max(0, round(-math.log10(q)))):
+            q_mp = mpmath.mpf(q)
+            b = 2 + 1 / q_mp
+            ref = float(mpmath.loggamma(n + 1) + n * mpmath.log(q_mp)
+                        + mpmath.loggamma(b + n) - mpmath.loggamma(b))
+        got = ladder.rho_log(n)
+        assert abs(got - ref) <= 4e-15 * max(1.0, abs(ref)), (n, got, ref)
+        if n == 0:
+            assert math.copysign(1.0, got) == 1.0 and got == 0.0
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.id + str(s.nonlinearity or s.mu))
