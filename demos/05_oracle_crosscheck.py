@@ -1,7 +1,7 @@
 """Independent check of every closed-form spectrum by finite differences.
 
 Nothing in the library's analytic layer is trusted blind: each model's
-Sturm-Liouville form is discretized with a flux-conserving stencil on three
+Liouville normal form is discretized with a three-point stencil on three
 grids whose spacing halves exactly, and the Richardson-extrapolated levels
 are compared against the ladder formula.  Each level carries an error
 estimate, and its observed convergence order should be close to 2 (the

@@ -83,8 +83,9 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
     bisection on the steps) through the first weight at or below eps^2 on
     each side, or down to n = 0.  Each edge coefficient is O(eps), so the
     annihilation residual is O(eps |zeta|) and the discarded mass is far
-    below eps.  Peaks past PEAK_INDEX_MAX, a |zeta|^2 past the double range,
-    and a window that reaches a step past it, are refused with ValueError.
+    below eps.  Peaks past PEAK_INDEX_MAX, a |zeta|^2 past the double range
+    (or one the closed form refuses, before any window is summed), and a
+    window that reaches a step past it, are refused with ValueError.
 
     ln N is checked against the ladder's closed form.  The quadratic ladder's
     x/e_{n+1} = w/((b + n)(n + 1)), w = x/q, so both sum the same terms and
@@ -104,6 +105,10 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
     if x == math.inf:  # also where zeta = z/mu itself overflows, for a tiny mu
         raise ValueError(f"label z = {z} puts |zeta|^2 past the double range, and the "
                          f"coherent-state peak past n = {PEAK_INDEX_MAX:g}")
+    try:  # closed refuses an overflowing 0F1 argument before the window is summed
+        closed, mean, var = spec.ladder.closed(x)
+    except ValueError as exc:
+        raise ValueError(f"label z = {z}: {exc}") from exc
     n0, log_coeff, log_norm, tail_bound = (
         _window(spec, x, eps) if x else (0, np.zeros(1), 0.0, 0.0))  # x = 0: the vacuum
     theta = cmath.phase(zeta)
@@ -113,7 +118,6 @@ def construct(spec: ModelSpec, z: complex, eps: float = 1e-12) -> CoherentState:
         phase = cmath.exp(1j * theta * n0) * np.exp(1j * theta * np.arange(len(log_coeff)))
     # the closed normalizer only describes the unbiased ladder, so the check
     # is skipped under an injected fault; its tolerance grows with ln N
-    closed, mean, var = spec.ladder.closed(x)
     gap = abs(log_norm - closed)
     if spec.step_bias == 0.0 and gap > 1e-9 + 1e-12 * abs(log_norm):
         raise ConsistencyError(

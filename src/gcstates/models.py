@@ -55,7 +55,9 @@ Built-in model ids
 ``exp-mass``
     m(x) = e^{-mu x} / 2 with a Morse-like partner potential.  Linear ladder
     with E_n = n mu^2 (unit mu^2, no zero-point energy) and label scale mu,
-    so rho in label units is n! mu^{2n}.
+    so rho in label units is n! mu^{2n}.  alpha enters only the potential,
+    so the levels are n mu^2 for every alpha > 0 and no ladder, state or
+    measure reads it; the finite-difference oracle does, for alpha >= 1/2.
 
 ``harmonic``
     Constant-mass reference produced by ``harmonic_limit``; linear ladder

@@ -1,52 +1,48 @@
 """Independent finite-difference check of the analytic spectra.
 
-Nothing here touches the ladder algebra: each model's Hamiltonian is
-discretized directly in divergence form
-
-    H psi = -d/dx[ p(x) d psi/dx ] + v(x) psi,     p = 1/(2 m(x)),
-
-on a uniform grid with Dirichlet walls, using the three-point flux stencil
-
-    (H psi)_i = [ p_{i-1/2} (psi_i - psi_{i-1}) + p_{i+1/2} (psi_i - psi_{i+1}) ] / h^2
-                + v_i psi_i,
-
-which keeps the matrix symmetric tridiagonal.  The models are assembled in
-their natural dimensionless coordinates and the eigenvalues rescaled:
+Nothing here touches the ladder algebra: from its mass and potential alone,
+each model is brought to Liouville normal form -p u'' + v u = E u with a
+constant p, in its natural dimensionless coordinate, and discretized on a
+uniform grid with Dirichlet walls by the three-point stencil
+p (2 u_i - u_{i-1} - u_{i+1}) / h^2 + v_i u_i, a symmetric tridiagonal
+matrix that reads v on the nodes only.
 
 * singular-mass oscillators (zeta = sqrt(alpha) x, energies in units alpha):
   p = (1 - 2 q zeta^2)/2 and v = zeta^2 / (2 (1 - 2 q zeta^2)) vanish and
-  blow up at zeta = +-1/sqrt(2q).  The Liouville substitution
-  zeta = sin(theta)/sqrt(2q), u = p^(1/4) psi (it reads only the mass and
-  the potential) gives
-
-      -q u'' + [(1/(4q) - q/4) tan^2 theta - q/2] u = E u,
-
-  with constant p = q on (-pi/2, pi/2).  By local (Frobenius) analysis
-  u ~ cos^lam theta at the ends, lam = 1/2 + 1/(2q), so the walls sit where
-  that is e^-20: theta_w = arccos(exp(-20/lam)), below pi/2 for q <= 1.  At
-  small q the states are only about sqrt(2q) wide in theta, and walls at
-  theta_w keep the nodes on them.  For q > 1 the tan^2 coefficient turns
+  blow up at zeta = +-1/sqrt(2q).  zeta = sin(theta)/sqrt(2q),
+  u = p^(1/4) psi gives -q u'' + [(1/(4q) - q/4) tan^2 theta - q/2] u = E u
+  on (-pi/2, pi/2).  By Frobenius analysis u ~ cos^lam theta at the ends,
+  lam = 1/2 + 1/(2q), so the walls sit where that is e^-20:
+  theta_w = arccos(exp(-20/lam)), below pi/2 for q <= 1, and on the states
+  (about sqrt(2q) wide) at small q.  For q > 1 the tan^2 coefficient turns
   negative, an attractive inverse-square wall, and the model is refused;
 * harmonic reference: p = 1/2, v = zeta^2/2, walls where v = 40;
-* exp-mass (y = mu x, energies in units mu^2), in t = y + ln s with
-  s = sqrt(alpha^2 - 1): p = e^t/s and v = s sinh^2(t/2) + v_min, with
-  v_min = (s - alpha - 1)/2 = -(1 + 1/(s + alpha))/2.  The same potential
-  in y, ((alpha^2 - 1) e^y + e^-y)/4 - (alpha + 1)/2, cancels terms of size
-  alpha/4 and puts the nodes at |y| ~ ln alpha across a well alpha^(-1/2)
-  wide: at alpha = 1e18 its levels were off by 0.66.  In t the well is
-  centred on 0 and nothing cancels.  v is even in t, so the points where it
-  has climbed 40 units are t = +-2 asinh(sqrt(40/s)).  The left wall sits
-  at the left one.  On the right the mass vanishes and bound states decay
-  only at the finite rate kappa = s/2 per unit t, so the wall is pushed a
-  further 3/kappa beyond the 40-unit point; without that extension the wall
-  shift dominates the discretization error and refining the grid stalls.
+* exp-mass (y = mu x, energies in units mu^2): m = e^-y/2, so
+  H = -(d/dy) e^y (d/dy) + ((alpha^2 - 1) e^y + e^-y)/4 - (alpha + 1)/2.
+  x = 2 e^(-y/2), u = e^(y/4) psi gives the radial oscillator
+  -u'' + [(alpha^2 - 1/4)/x^2 + x^2/16 - (alpha + 1)/2] u = E u on x > 0.
+  The vanishing-mass end y -> +inf is x = 0, where u ~ x^(1/2 +- alpha):
+  limit-point for alpha >= 1, limit-circle for 1/2 <= alpha < 1, where the
+  Dirichlet wall picks the principal solution x^(alpha + 1/2); either way
+  the levels are n.  Below alpha = 1/2 both solutions vanish at x = 0, a
+  wall picks no spectrum, and the model is refused.  The grid runs in
+  y' = x - x* about the well x* = 2 sqrt(alpha), where with e = y'/x*
+  v = (y' (2 + e)/(4 (1 + e)))^2 - 1/(4 x^2) - 1/2 cancels nothing and
+  reads alpha only through x*, up to the largest double.  The walls are
+  the roots of the quadratic in e where the square reaches 40.5, the left
+  one moved out to where x^(alpha + 1/2) is e^-20 of its value at x* if
+  that is farther.  As for the oscillators, u'' is unbounded at the x = 0
+  wall for 1 < lam = alpha + 1/2 < 2, and at the default points the order
+  check below refuses alpha from 0.508 to 1.060 (order 1.53 at 0.6);
+  alpha = 1/2, where u ~ x, and every alpha above 1.061 pass.
 
 Eigenvalues come from LAPACK's bisection (dstebz), whose absolute accuracy
 is eps ||T||_1 in units of the energy scale.  ``build_problem`` refuses, with
 a ValueError naming the model's parameter, a grid where that resolution is
 not below LEVEL_TOL: the level comparisons could not tell a right spectrum
-from a wrong one.  That happens for exp-mass as alpha nears 1, where the
-right wall's 3/kappa extension makes e^t/s, and so ||T||_1, overflow.
+from a wrong one.  No model comes near it at the default points, where
+eps ||T||_1 is at most 5.9e-12 (q = 1) and, for exp-mass, 1.5e-13 at any
+alpha; the guard stands against a matrix that overflows.
 
 Levels with an error bar.  ``compare_spectrum`` solves a grid triple of
 M, 2M + 1 and 4M + 3 points, so h halves exactly, with 4M + 3 the largest
@@ -57,19 +53,13 @@ finest plain grid's own error, is the reported estimate.  That holds only
 where the grids are in their second-order regime, so the observed order
 log2(|E_mid - E_coarse| / |E_fine - E_mid|) is checked: below ORDER_MIN, or
 with an estimate not below LEVEL_TOL, the comparison raises ValueError
-rather than report an error that would read as physics.  As q nears 1 the
-wall exponent lam nears 1 and u'' turns singular at the walls: at the
-default points the lowest observed order is 1.87 at q = 0.5 (1.92 at 8191
-points), 1.24 at q = 0.9, and 2.00 at q = 1, where the tan^2 term vanishes.
+rather than report an error that would read as physics.  At the default
+points the oscillators' lowest observed order is 1.87 at q = 0.5, 1.24 at
+q = 0.9, and 2.00 at q = 1, where the tan^2 term vanishes.  The order and
+the estimate are the one test of a grid; no rule on the node spacing is
+added (the README gives the sweep behind that).
 
-The observed order and the estimate are the one test of a grid: no rule
-on the node spacing is added.  Over nonlinear-osc with 49 q in [1e-12, 1],
-coarse M = 3..63 and k = 1..6, every triple with a coarse centre zeta
-spacing h_theta/sqrt(2q) above 0.25 was either refused by that test or
-gave levels with rel_error below LEVEL_TOL and within their error bar
-(worst ratio to the bar 0.14).
-
-The oscillators and the harmonic reference have even p and v on a grid
+The oscillators and the harmonic reference have an even v on a grid
 symmetric about 0, so their matrix splits exactly into an even and an odd
 block of half size.  For even M the half blocks start at d +- e_c, with e_c
 the coupling of the two centre nodes (+ even, - odd).  For odd M the even
@@ -147,7 +137,7 @@ class GridEigenproblem:
 def _assemble(
     spec: ModelSpec,
     hamiltonian: str,
-    p: Callable[[np.ndarray], np.ndarray],
+    p: float,
     v: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
@@ -159,15 +149,12 @@ def _assemble(
     nodes = lo + h * np.arange(1, points + 1)
     # an overflow leaves inf in the matrix, which the resolution refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        p_minus = p(nodes - h / 2.0)
-        p_plus = p(nodes + h / 2.0)
-        diag = (p_minus + p_plus) / h**2 + v(nodes)
-        offdiag = -p_plus[:-1] / h**2
+        diag = 2.0 * p / h**2 + v(nodes)
+        offdiag = np.full(points - 1, -p / h**2)
         if symmetric:
             # lo + h i rounds unevenly about 0; the mirror average is exactly
             # even, so the parity split in lowest_eigenvalues is exact
             diag = 0.5 * (diag + diag[::-1])
-            offdiag = 0.5 * (offdiag + offdiag[::-1])
         col = np.abs(diag)
         col[1:] += np.abs(offdiag)
         col[:-1] += np.abs(offdiag)
@@ -198,10 +185,10 @@ def _assemble(
 def build_problem(spec: ModelSpec, points: int = POINTS) -> GridEigenproblem:
     """Discretize the model on one grid of its truncated natural domain.
 
-    The singular-mass models are solved in Liouville form in theta, and
-    refused for q > 1.  A grid the bisection cannot resolve to LEVEL_TOL
-    raises ValueError, as does an exp-mass alpha whose alpha^2 - 1
-    overflows.
+    Every model is solved in Liouville form with constant p.  The
+    singular-mass models are refused for q > 1 and exp-mass for
+    alpha < 1/2.  A grid the bisection cannot resolve to LEVEL_TOL raises
+    ValueError.
     """
     if points != int(points) or points < 3:
         raise ValueError(f"points must be an integer >= 3, got {points}")
@@ -222,43 +209,33 @@ def build_problem(spec: ModelSpec, points: int = POINTS) -> GridEigenproblem:
         def v(theta):
             return c * np.tan(theta) ** 2 - 0.5 * q
 
-        return _assemble(spec, f"singular-osc q={q!r}", lambda t: np.full_like(t, q), v,
-                         -wall, wall, points, spec.alpha, symmetric=True)
+        return _assemble(spec, f"singular-osc q={q!r}", q, v, -wall, wall, points,
+                         spec.alpha, symmetric=True)
 
     if spec.id == "harmonic":
         half = math.sqrt(80.0)  # v = zeta^2/2 reaches 40 energy units
-        return _assemble(
-            spec,
-            "harmonic",
-            lambda z: np.full_like(z, 0.5),
-            lambda z: z**2 / 2.0,
-            -half,
-            half,
-            points,
-            spec.alpha,
-            symmetric=True,
-        )
+        return _assemble(spec, "harmonic", 0.5, lambda z: z**2 / 2.0, -half, half, points,
+                         spec.alpha, symmetric=True)
 
-    # exp-mass: confinement on the vanishing-mass side needs alpha > 1
+    # exp-mass in y' = x - x*, x = 2 e^(-y/2); the module docstring has the form
     a = spec.alpha
-    if not a > 1.0:
+    if not a >= 0.5:
         raise ValueError(
-            "exp-mass spectra can only be cross-checked for alpha > 1; the "
-            f"potential is unconfined on the right for alpha = {a}"
+            f"exp-mass alpha={a!r}: below alpha = 1/2 both solutions vanish at the x = 0 "
+            f"endpoint and a wall there picks no spectrum; the oracle covers alpha >= 1/2"
         )
-    s2 = (a - 1.0) * (a + 1.0)
-    if not s2 < math.inf:
-        raise ValueError(f"exp-mass alpha={a!r}: alpha^2 - 1 overflows a double")
-    s = math.sqrt(s2)
-    v_min = -0.5 * (1.0 + 1.0 / (s + a))
+    x_star = 2.0 * math.sqrt(a)
 
-    def v(t):
-        return s * np.sinh(0.5 * t) ** 2 + v_min
+    def v(y):
+        e = y / x_star
+        return (y * (2.0 + e) / (4.0 * (1.0 + e))) ** 2 - (0.5 / (x_star + y)) ** 2 - 0.5
 
-    wall = 2.0 * math.asinh(math.sqrt(40.0 / s))  # the 40-unit points, module docstring
-    # 3/kappa past the right 40-unit point, kappa = s/2
-    return _assemble(spec, f"exp-mass alpha={a!r}", lambda t: np.exp(t) / s, v,
-                     -wall, wall + 6.0 / s, points, spec.mu**2)
+    # the square reaches 40.5 where |e (2 + e)/(1 + e)| = g, a quadratic in e
+    g = math.sqrt(162.0 / a)
+    r = math.sqrt(g * g + 4.0)
+    hi = 0.5 * x_star * (g + g * g / (r + 2.0))
+    lo = min(-2.0 * x_star * g / (2.0 + g + r), x_star * math.expm1(-20.0 / (a + 0.5)))
+    return _assemble(spec, f"exp-mass alpha={a!r}", 1.0, v, lo, hi, points, spec.mu**2)
 
 
 def _lowest(diag: np.ndarray, offdiag: np.ndarray, k: int) -> np.ndarray:

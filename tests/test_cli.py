@@ -85,7 +85,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # quadratic ladder's closed ln rho_n became minus the 0F1 term ln t_n at
 # w = 1/q (only the oscillators' rho product and raising reconstruction rows
 # and the spectral_algebra max_rel_error moved: the rho row by one ulp of
-# ln rho_200, about 2.3e-13, and the others by round-off)
+# ln rho_200, about 2.3e-13, and the others by round-off); verify_spectrum,
+# verify_all and verify_corrupt_all were re-captured when exp-mass moved to
+# Liouville form in y' = x - x* with constant p (only the four exp-mass
+# level values and the spectrum max_rel_error moved)
 GOLDEN_CASES = [
     ("coherent", ["coherent", "--z", "0.3+0.2i"], 0),
     ("stats", ["stats", "--model", "bounded-osc", "--lambda-prime", "0.17",
@@ -462,7 +465,8 @@ def test_out_writes_file(tmp_path, capsys):
         # the spectrum family compares 4 levels, so its coarse grid needs at
         # least 4 points and the finest 4*4 + 3 = 19
         ["verify", "--only", "spectrum", "--points", "18"],
-        # the bisection cannot resolve the exp-mass grid this close to alpha = 1
+        # near alpha = 1, u'' is unbounded at the exp-mass x = 0 wall and the
+        # uniform grid triple falls below ORDER_MIN
         ["oracle", "--model", "exp-mass", "--alpha", "1.00003", "--points", "200"],
         ["oracle", "--model", "exp-mass", "--alpha", "1.0001", "--points", "200"],
         ["oracle", "--model", "exp-mass", "--alpha", "1.001"],
@@ -497,8 +501,8 @@ def test_out_writes_file(tmp_path, capsys):
         ["fig1", "--lambda-primes", "1e-307", "--zsq", "5"],
         # the 0F1 argument |zeta|^2/q = 8.1e308 overflows a double
         ["coherent", "--lambda-prime", "1e-301", "--z", "9000"],
-        # alpha^2 - 1 overflows a double
-        ["oracle", "--model", "exp-mass", "--alpha", "1e200"],
+        # below alpha = 1/2 a wall at the exp-mass x = 0 end picks no spectrum
+        ["oracle", "--model", "exp-mass", "--alpha", "0.4"],
     ],
 )
 def test_bad_parameters_exit_two(args, capsys):
@@ -543,6 +547,17 @@ def test_overflowing_label_refusal_names_the_label_and_the_peak_limit(args, caps
         f"coherent-state peak past n = 1e+08\n")
 
 
+def test_overflowing_0f1_argument_is_refused_before_the_window(capsys, monkeypatch):
+    # |zeta|^2/q = 8.1e308: closed refuses it by name before any window sum
+    def no_window(*args):
+        raise AssertionError("the window was summed")
+
+    monkeypatch.setattr(coherent, "_window", no_window)
+    assert cli.main(["coherent", "--lambda-prime", "1e-301", "--z", "9000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: label z = (9000+0j): the 0F1 argument |w| = inf is not a finite double\n")
+
+
 @pytest.mark.parametrize("q", ["1e-9", "1e-6"])
 def test_small_q_coarse_oracle_levels_are_within_their_bars(q, capsys):
     # the coarse grid of --points 100 has M = 24 nodes, 0.51 apart in zeta at
@@ -565,23 +580,25 @@ def test_tiny_q_refusal_names_q_and_the_moment_grid(capsys):
 
 
 @pytest.mark.parametrize("alpha", ["1.4e154", "1e200"])
-def test_huge_expmass_alpha_is_refused_without_warnings(alpha):
+def test_huge_expmass_alpha_answers_without_warnings(alpha):
     # in a fresh process, where a numpy RuntimeWarning would reach stderr;
-    # alpha^2 - 1 overflows past 1.34e154
+    # alpha^2 overflows past 1.34e154, but the oracle reads alpha only
+    # through x* = 2 sqrt(alpha)
     proc = subprocess.run(
         [sys.executable, "-m", "gcstates.cli", "oracle", "--model", "exp-mass",
          "--alpha", alpha, "--points", "200"],
         capture_output=True, text=True,
     )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"error: exp-mass alpha={float(alpha)!r}: ")
-    assert proc.stderr.count("\n") == 1
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 4
+    assert all(float(r[5]) <= float(r[7]) < oracle.LEVEL_TOL for r in rows)
 
 
 @pytest.mark.parametrize("alpha", ["1e13", "1e15", "1e18", "1e20", "1e154"])
 def test_large_expmass_alpha_levels_hold_under_their_error_bars(alpha, capsys):
-    # the grid in t = y + ln s keeps these levels; in y they were off by up
+    # the grid in y' = x - x* keeps these levels; in y they were off by up
     # to 0.94, reported as a failed check (exit 1)
     code, out = run(["oracle", "--model", "exp-mass", "--alpha", alpha], capsys)
     assert code == 0

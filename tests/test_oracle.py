@@ -15,7 +15,7 @@ def nonlinear(q, alpha=1.0):
 
 def test_assembly_on_a_tiny_grid():
     # three interior points, p = 1/2, v = zeta^2 / 2 (harmonic): the stencil
-    # must be (p_- + p_+)/h^2 + v on the diagonal and -p_+/h^2 off it
+    # must be 2p/h^2 + v on the diagonal and -p/h^2 off it
     h = models.harmonic_limit(nonlinear(0.1))
     prob = oracle.build_problem(h, points=3)
     assert prob.points == 3
@@ -75,9 +75,11 @@ def test_expmass_energy_scale():
     assert np.allclose(4.0 * v1, v2, rtol=1e-13)
 
 
-def test_expmass_requires_confinement():
-    spec = models.make_model("exp-mass", alpha=1.0, mu=1.0)
-    with pytest.raises(ValueError, match="unconfined|alpha"):
+def test_expmass_below_one_half_is_refused():
+    # below alpha = 1/2 both Frobenius solutions vanish at x = 0, so a wall
+    # there picks no spectrum; make_model still takes the model
+    spec = models.make_model("exp-mass", alpha=0.4, mu=1.0)
+    with pytest.raises(ValueError, match=r"alpha=0.4: below alpha = 1/2 .* alpha >= 1/2"):
         oracle.build_problem(spec)
 
 
@@ -184,11 +186,24 @@ def test_expmass_is_solved_whole():
     assert np.array_equal(oracle.lowest_eigenvalues(prob, 4), full * prob.energy_scale)
 
 
-@pytest.mark.parametrize("alpha, points", [(1.00003, 200), (1.001, 2000), (1.05, 2000)])
+@pytest.mark.parametrize("alpha, points", [(1.00003, 200), (1.001, 2000), (1.05, 255), (0.6, 255)])
 def test_unresolvable_expmass_grid_is_refused(alpha, points):
+    # for 1/2 < alpha < 3/2, u ~ x^(alpha + 1/2) leaves u'' unbounded at the
+    # x = 0 wall, and near alpha = 1 and 0.6 the uniform grid triple falls
+    # below second order: the comparison is refused by its observed order
     spec = models.make_model("exp-mass", alpha=alpha, mu=1.0)
-    with pytest.raises(ValueError, match=rf"alpha={alpha!r}: .*resolution"):
-        oracle.build_problem(spec, points=points)
+    assert oracle.build_problem(spec, points=points).resolution < 1e-10
+    with pytest.raises(ValueError, match=rf"alpha={alpha!r}, M=\d+: .*observed order 1\.[5-8]"):
+        oracle.compare_spectrum(spec, k=4, points=points)
+
+
+@pytest.mark.parametrize("v", [lambda x: np.exp(1e3 * x), lambda x: np.full_like(x, 1e15)],
+                         ids=["overflow", "huge"])
+def test_unresolvable_matrix_is_refused(v):
+    # the bisection's eps ||T||_1 must be below LEVEL_TOL; a v that overflows
+    # to inf, or merely dwarfs the levels, leaves no level to compare
+    with pytest.raises(ValueError, match=r"^test: .*resolution .* not below the level tolerance"):
+        oracle._assemble(HARMONIC, "test", 0.5, v, -1.0, 1.0, 20, 1.0)
 
 
 def test_expmass_near_one_within_resolution_is_accepted():
@@ -197,34 +212,38 @@ def test_expmass_near_one_within_resolution_is_accepted():
     assert np.all(np.isfinite(oracle.lowest_eigenvalues(prob, 4)))
 
 
-@pytest.mark.parametrize("alpha", [1.05, 1.1, 1.5, 2.0, 3.0, 4.0, 10.0, 1e3, 1e8])
+EXPMASS_ALPHAS = [0.5, 1.1, 1.5, 2.0, 10.0, 1e6, 1e15, 1e154, 1e200, 1e300, 1.7e308]
+
+
+@pytest.mark.parametrize("alpha", sorted({*EXPMASS_ALPHAS, 1.05, 3.0, 4.0, 1e3, 1e8}))
 def test_expmass_walls_are_the_40_unit_points(alpha):
+    # in y' = x - x*, x* = 2 sqrt(alpha), the walls sit where the square
+    # (y' (2 + e)/(4 (1 + e)))^2, e = y'/x*, reaches 40.5; the left one moves
+    # out to where x^(alpha + 1/2) is e^-20 of its value at x* if that is farther
     mpmath = pytest.importorskip("mpmath")
-    from scipy.optimize import brentq
-
     prob = oracle.build_problem(models.make_model("exp-mass", alpha=alpha, mu=1.0), points=200)
-    # the grid runs in t = y + ln s, its right wall 3/kappa = 6/s past the 40-unit point
-    s = math.sqrt(alpha * alpha - 1.0)
-    t_40 = prob.hi - 6.0 / s
     with mpmath.workdps(40):
-        a = mpmath.mpf(alpha)
-        s_mp = mpmath.sqrt(a * a - 1)
-        target = (s_mp - a - 1) / 2 + 40  # v_min + 40, v_min = v(-ln s)
-        for t in (prob.lo, t_40):
-            y = t - mpmath.log(s_mp)
-            v = ((a * a - 1) * mpmath.exp(y) + mpmath.exp(-y)) / 4 - (a + 1) / 2
-            assert abs(v - target) <= 1e-12 * target, t
+        x_star = 2 * mpmath.sqrt(mpmath.mpf(alpha))
 
-    # brentq, as the walls were once found, on v(y) in doubles to its default xtol 2e-12
-    y_bottom = -0.5 * math.log(alpha * alpha - 1.0)
-    v_40 = 40.0 + (math.sqrt(alpha * alpha - 1.0) - alpha - 1.0) / 2.0
+        def square(y):
+            e = mpmath.mpf(y) / x_star
+            return (y * (2 + e) / (4 * (1 + e))) ** 2
 
-    def v_minus_40(y):
-        return ((alpha * alpha - 1.0) * math.exp(y) + math.exp(-y)) / 4.0 - (alpha + 1.0) / 2.0 - v_40
+        e20 = x_star * mpmath.expm1(-20 / (mpmath.mpf(alpha) + 0.5))
+        assert prob.hi > 0 and abs(square(prob.hi) / 40.5 - 1) < 1e-13
+        # the left wall is one of the two points, and the farther of them
+        assert square(prob.lo) > 40.5 * (1 - 1e-13)
+        assert prob.lo < e20 * (1 - 1e-14)
+        assert abs(square(prob.lo) / 40.5 - 1) < 1e-13 or abs(prob.lo / e20 - 1) < 1e-14
 
-    y_lo, y_40 = prob.lo - math.log(s), t_40 - math.log(s)
-    assert y_lo == pytest.approx(brentq(v_minus_40, y_bottom - 80.0, y_bottom), abs=2e-12)
-    assert y_40 == pytest.approx(brentq(v_minus_40, y_bottom, y_bottom + 80.0), abs=2e-12)
+
+@pytest.mark.parametrize("alpha", EXPMASS_ALPHAS)
+def test_expmass_levels_hold_at_the_default_points(alpha):
+    # alpha enters only x*, so from 1/2 to the largest double every level
+    # converges at second order and meets its error bar
+    for c in oracle.compare_spectrum(models.make_model("exp-mass", alpha=alpha, mu=1.0), k=4):
+        assert c.order >= oracle.ORDER_MIN
+        assert c.rel_error <= c.error_bar < oracle.LEVEL_TOL
 
 
 @pytest.mark.parametrize("q", [1e-9, 1e-6, 1e-3])
